@@ -223,11 +223,11 @@ func main() {
 			log.Fatal(lerr)
 		}
 		// Resume replays the checkpointed epochs deterministically and
-		// verifies the replayed state against the snapshot before
-		// continuing; the finished run's fingerprint is byte-identical
-		// to one that was never interrupted. The merged config (the
-		// checkpoint's behaviour knobs over this process's operational
-		// flags) also feeds the closing banner.
+		// verifies the replayed state against the checkpoint's digests
+		// before continuing; the finished run's fingerprint is
+		// byte-identical to one that was never interrupted. The merged
+		// config (the checkpoint's behaviour knobs over this process's
+		// operational flags) also feeds the closing banner.
 		cfg = cp.Config.Merge(cfg)
 		f, err = kwo.ResumeFleet(cp, cfg)
 		if err == nil {

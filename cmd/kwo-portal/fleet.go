@@ -78,15 +78,17 @@ func fetchFleet(c fleetClient) (kwo.FleetLiveKPIs, kwo.FleetTimeSeries, kwo.Flee
 // fleetMain runs the portal in fleet mode: -once renders a single view
 // to stdout; otherwise every request to -listen re-fetches the fleet
 // endpoint and serves the current view as plain text. With a checkpoint
-// path the payloads come from the checkpoint file instead of a live
-// endpoint — the offline view of a crashed run.
+// path the payloads come from replaying the checkpoint instead of a
+// live endpoint — the offline view of a crashed run.
 func fleetMain(fleetURL, checkpointPath, listen string, once bool) {
 	if checkpointPath != "" {
 		cp, err := kwo.LoadFleetCheckpoint(checkpointPath)
 		if err != nil {
 			log.Fatalf("kwo-portal: %v", err)
 		}
-		k, ts, slo, err := kwo.FleetCheckpointView(cp)
+		// The checkpoint pins every behaviour knob except the engine
+		// options, which kwo-fleet always runs at their defaults.
+		k, ts, slo, err := kwo.FleetCheckpointView(cp, kwo.FleetConfig{})
 		if err != nil {
 			log.Fatalf("kwo-portal: %v", err)
 		}

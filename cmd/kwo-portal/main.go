@@ -21,7 +21,9 @@
 //	kwo-portal -fleet-url http://127.0.0.1:9090 -listen :8080
 //
 // With -checkpoint the same view renders offline from a crash-recovery
-// checkpoint file — inspecting a crashed fleet without resuming it:
+// checkpoint file — inspecting a crashed fleet without a running one.
+// The portal replays the checkpoint's epochs, exactly as kwo-fleet
+// -resume would, and refuses a checkpoint this build cannot reproduce:
 //
 //	kwo-portal -checkpoint ckpt/fleet-epoch-000040.ckpt.json
 package main
@@ -41,7 +43,7 @@ func main() {
 	speedup := flag.Float64("speedup", 3600, "virtual seconds per wall second")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	fleetURL := flag.String("fleet-url", "", "render the fleet view over this kwo-fleet ops endpoint instead of serving the single-tenant API")
-	checkpoint := flag.String("checkpoint", "", "render the fleet view offline from this crash-recovery checkpoint file (no running fleet needed)")
+	checkpoint := flag.String("checkpoint", "", "render the fleet view offline by replaying this crash-recovery checkpoint file to its epoch")
 	once := flag.Bool("once", false, "with -fleet-url: print one fleet view to stdout and exit")
 	flag.Parse()
 

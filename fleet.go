@@ -39,7 +39,7 @@ type (
 	FleetTimeSeries = fleet.FleetTimeSeries
 	// FleetSLOStatus is the /fleet/slo payload.
 	FleetSLOStatus = fleet.SLOStatus
-	// FleetCheckpoint is one epoch-aligned crash-recovery snapshot.
+	// FleetCheckpoint is one epoch-aligned crash-recovery checkpoint.
 	FleetCheckpoint = fleet.Checkpoint
 	// FleetCheckpointConfig is the behaviour-affecting config subset a
 	// checkpoint pins.
@@ -119,10 +119,10 @@ func (f *Fleet) SLOStatus() FleetSLOStatus { return f.f.SLOStatus() }
 // recoveries, and tenant quarantines in sequence order.
 func (f *Fleet) Alerts() []FleetAlert { return f.f.Alerts() }
 
-// Checkpoint snapshots the fleet at its current epoch boundary.
+// Checkpoint records the fleet at its current epoch boundary.
 func (f *Fleet) Checkpoint() (*FleetCheckpoint, error) { return f.f.Checkpoint() }
 
-// WriteCheckpoint snapshots the fleet and writes the checkpoint
+// WriteCheckpoint records the fleet and writes the checkpoint
 // atomically into FleetConfig.CheckpointDir.
 func (f *Fleet) WriteCheckpoint() error { return f.f.WriteCheckpoint() }
 
@@ -139,9 +139,10 @@ func LatestFleetCheckpoint(dir string) (*FleetCheckpoint, string, error) {
 
 // ResumeFleet reconstructs a running fleet from a checkpoint: fresh
 // provision under the merged config, deterministic replay of the
-// checkpointed epochs (alert delivery muted), and field-by-field
-// verification against the snapshot. Continuing the resumed fleet
-// produces a report fingerprint byte-identical to an uninterrupted run.
+// checkpointed epochs (alert delivery muted), and verification of the
+// replayed state's per-component digests against the checkpoint's.
+// Continuing the resumed fleet produces a report fingerprint
+// byte-identical to an uninterrupted run.
 func ResumeFleet(cp *FleetCheckpoint, base FleetConfig) (*Fleet, error) {
 	f, err := fleet.Resume(cp, base)
 	if err != nil {
@@ -150,10 +151,13 @@ func ResumeFleet(cp *FleetCheckpoint, base FleetConfig) (*Fleet, error) {
 	return &Fleet{f: f}, nil
 }
 
-// FleetCheckpointView rebuilds the fleet ops payloads from a checkpoint
-// alone — offline inspection of a crashed run, no replay needed.
-func FleetCheckpointView(cp *FleetCheckpoint) (FleetLiveKPIs, FleetTimeSeries, FleetSLOStatus, error) {
-	return fleet.CheckpointView(cp)
+// FleetCheckpointView rebuilds the fleet ops payloads of a checkpointed
+// run — offline inspection of a crashed run. It resumes the checkpoint
+// under base as ResumeFleet does, replaying its epochs and refusing a
+// checkpoint this build cannot reproduce, so the payloads equal the
+// live ones the run served at that epoch.
+func FleetCheckpointView(cp *FleetCheckpoint, base FleetConfig) (FleetLiveKPIs, FleetTimeSeries, FleetSLOStatus, error) {
+	return fleet.CheckpointView(cp, base)
 }
 
 // FleetTenantSeed derives tenant idx's simulation seed from a fleet

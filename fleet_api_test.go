@@ -95,8 +95,8 @@ func TestFleetCheckpointResumePublicAPI(t *testing.T) {
 		t.Fatalf("latest checkpoint = epoch %d at %s, want final epoch 6 in %s", cp.Epoch, path, dir)
 	}
 
-	// Offline view from the checkpoint alone.
-	kpis, _, slo, err := kwo.FleetCheckpointView(cp)
+	// Offline view: the checkpoint replayed to its epoch.
+	kpis, _, slo, err := kwo.FleetCheckpointView(cp, kwo.FleetConfig{Opts: cfg.Opts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,30 +1,35 @@
 package fleet
 
 // Crash-safe checkpoint/restore. A fleet checkpoint is an epoch-aligned
-// snapshot of everything that evolves during a run: per-tenant series
-// rings and recorder baselines, scheduler positions, RNG stream draw
-// counts, event-stream hash state, billing watermarks, quarantine
-// records, the fleet-aggregate series, and the alert tracker's log and
-// dedup state. Checkpoints are written atomically (temp file + rename)
-// on the epoch barrier, so a crash at any instant leaves either the
-// previous complete checkpoint or the new complete checkpoint — never a
-// torn file.
+// record of what a resume needs to rebuild the run — the epoch, the
+// pinned behaviour config, and each tenant's quarantine record — plus
+// SHA-256 digests of everything that evolves during the run: per
+// tenant, the scheduler and workload-stream position, the trace-event
+// stream, the billing watermarks, and the recorder's series rings and
+// baselines; fleet-wide, the aggregate series and the alert tracker.
+// Checkpoints are written atomically (temp file + rename) on the epoch
+// barrier, so a crash at any instant leaves either the previous
+// complete checkpoint or the new complete checkpoint — never a torn
+// file.
 //
 // Restore is replay-based. The fleet's event queue holds closures over
 // live object graphs, which no snapshot format can serialize; instead
 // Resume provisions a fresh fleet from the same config and
 // deterministically re-executes epochs 1..k — the determinism contract
-// the fleet already holds is what makes this exact — then verifies the
-// replayed state against the checkpoint field by field before handing
-// the fleet back. Replay is cheap relative to re-running the whole
-// horizon and, critically, cannot drift silently: any divergence
-// (version skew, config mismatch, tampered file) fails loudly at resume
-// time rather than corrupting the continued run. External alert
-// delivery is muted during replay so a resumed run never re-pages for
-// alerts delivered before the crash.
+// the fleet already holds is what makes this exact — then digests the
+// replayed state and compares it with the checkpoint's, component by
+// component, before handing the fleet back. Replay is cheap relative to
+// re-running the whole horizon and, critically, cannot drift silently:
+// any divergence (version skew, config mismatch, tampered file) fails
+// loudly at resume time, naming the tenant and component, rather than
+// corrupting the continued run. External alert delivery is muted during
+// replay so a resumed run never re-pages for alerts delivered before
+// the crash.
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -39,12 +44,12 @@ import (
 // CheckpointVersion is the checkpoint file format version. Loaders
 // reject any other value: a format change must not be silently
 // misinterpreted as state.
-const CheckpointVersion = 1
+const CheckpointVersion = 2
 
-// Checkpoint is one epoch-aligned fleet snapshot.
+// Checkpoint is one epoch-aligned fleet checkpoint.
 type Checkpoint struct {
 	Version int `json:"version"`
-	// Epoch is how many epochs had completed when the snapshot was
+	// Epoch is how many epochs had completed when the checkpoint was
 	// taken; Now is the epoch boundary's virtual time (UnixNano).
 	Epoch int   `json:"epoch"`
 	Now   int64 `json:"now"`
@@ -52,10 +57,10 @@ type Checkpoint struct {
 	// a config that does not match: replaying under different knobs
 	// would produce a different — wrong — state.
 	Config CheckpointConfig `json:"config"`
-	// FleetSeries are the fleet-aggregate series rings.
-	FleetSeries []obs.SeriesSnapshot `json:"fleet_series"`
-	// Alerts is the alert tracker's full deterministic state.
-	Alerts AlertState `json:"alerts"`
+	// Digests covers the fleet-wide state: "series" (the
+	// fleet-aggregate series) and "alerts" (the alert tracker's
+	// sequence counter, firing set and log).
+	Digests Digests `json:"digests"`
 	// Tenants holds one entry per tenant, in index order.
 	Tenants []TenantCheckpoint `json:"tenants"`
 }
@@ -134,44 +139,50 @@ func (cc CheckpointConfig) matches(other CheckpointConfig) error {
 	return nil
 }
 
-// AlertState is the alert tracker's checkpointed state: sequence
-// counter, currently-firing (tenant, objective) pairs, and the full
-// deterministic log.
-type AlertState struct {
-	Seq    uint64      `json:"seq"`
-	Firing []string    `json:"firing,omitempty"`
-	Log    []obs.Alert `json:"log,omitempty"`
+// Digests maps a state component's name to the hex SHA-256 of that
+// component's state. Resume compares the replayed fleet's digests with
+// the checkpointed ones, so a mismatch names the component.
+type Digests map[string]string
+
+// diff names the first component, in name order, whose digest differs
+// between d and other (missing on one side counts), or "" if none does.
+func (d Digests) diff(other Digests) string {
+	var names []string
+	for _, m := range []Digests{d, other} {
+		for n := range m {
+			if d[n] != other[n] {
+				names = append(names, n)
+			}
+		}
+	}
+	if len(names) == 0 {
+		return ""
+	}
+	sort.Strings(names)
+	return names[0]
 }
 
-// TenantCheckpoint is one tenant's snapshot. For an active tenant it
-// pins every evolving piece of state the replay must reproduce; for a
-// quarantined tenant it records the freeze itself (epoch, reason,
-// frozen KPI row) — the tenant never advances again, so nothing else
-// need survive.
+// digest is the hex SHA-256 of one component's state bytes.
+func digest(state []byte) string {
+	sum := sha256.Sum256(state)
+	return hex.EncodeToString(sum[:])
+}
+
+// TenantCheckpoint is one tenant's entry. Its digests cover the
+// tenant's evolving state: "sched" (scheduler position, scheduled
+// arrivals, workload cursor and RNG stream position, attach outcome),
+// "events" (the trace-event stream), "billing" (billing period start
+// and watermark) and "recorder" (series rings and sampling baselines).
+// A quarantined tenant keeps only "recorder": the rest of its state
+// stopped wherever the failure left it, and a replay restores the
+// freeze instead of re-executing the failure. What it carries instead
+// is the quarantine record — epoch, reason, frozen KPI row — which is
+// rebuild data rather than a digest because a deadline quarantine
+// depends on wall-clock time and cannot be replayed.
 type TenantCheckpoint struct {
-	Tenant  string `json:"tenant"`
-	Index   int    `json:"index"`
-	Seed    int64  `json:"seed"`
-	Profile string `json:"profile"`
-
-	SchedNow      int64  `json:"sched_now,omitempty"`
-	SchedSteps    uint64 `json:"sched_steps,omitempty"`
-	SchedSeq      uint64 `json:"sched_seq,omitempty"`
-	Pending       int    `json:"pending,omitempty"`
-	Scheduled     int    `json:"scheduled,omitempty"`
-	CursorDone    bool   `json:"cursor_done,omitempty"`
-	WorkloadDraws uint64 `json:"workload_draws,omitempty"`
-
-	Events     uint64 `json:"events,omitempty"`
-	EventsSum  string `json:"events_sum,omitempty"`
-	EventsHash []byte `json:"events_hash,omitempty"`
-
-	BillStart        int64 `json:"bill_start,omitempty"`
-	BillingWatermark int64 `json:"billing_watermark,omitempty"`
-
-	Recorder obs.RecorderSnapshot `json:"recorder"`
-
-	AttachErr string `json:"attach_err,omitempty"`
+	Tenant  string  `json:"tenant"`
+	Index   int     `json:"index"`
+	Digests Digests `json:"digests"`
 
 	Quarantined      bool       `json:"quarantined,omitempty"`
 	QuarantineEpoch  int        `json:"quarantine_epoch,omitempty"`
@@ -179,13 +190,12 @@ type TenantCheckpoint struct {
 	FrozenKPI        *TenantKPI `json:"frozen_kpi,omitempty"`
 }
 
-// checkpoint extracts the tenant's snapshot entry.
-func (t *tenant) checkpoint() (TenantCheckpoint, error) {
+// checkpoint builds the tenant's entry.
+func (t *tenant) checkpoint() TenantCheckpoint {
 	tc := TenantCheckpoint{
 		Tenant:  t.id,
 		Index:   t.idx,
-		Seed:    t.seed,
-		Profile: t.prof.String(),
+		Digests: Digests{"recorder": digest(t.rec.AppendState(nil))},
 	}
 	if t.quarantined() {
 		tc.Quarantined = true
@@ -193,65 +203,54 @@ func (t *tenant) checkpoint() (TenantCheckpoint, error) {
 		tc.QuarantineReason = t.qReason
 		k := *t.frozen
 		tc.FrozenKPI = &k
-		return tc, nil
+		return tc
 	}
-	tc.SchedNow = t.sched.Now().UnixNano()
-	tc.SchedSteps = t.sched.Steps()
-	tc.SchedSeq = t.sched.Seq()
-	tc.Pending = t.sched.Pending()
-	tc.Scheduled = t.scheduled
-	tc.CursorDone = t.cursor == nil
-	tc.WorkloadDraws = t.wdraws.n
-	tc.Events = t.events.n
-	tc.EventsSum = t.events.Sum()
-	state, err := t.events.State()
-	if err != nil {
-		return tc, fmt.Errorf("fleet: tenant %s: %w", t.id, err)
-	}
-	tc.EventsHash = state
-	tc.Recorder = t.rec.Snapshot()
+	attachErr := ""
 	if t.attachErr != nil {
-		tc.AttachErr = t.attachErr.Error()
+		attachErr = t.attachErr.Error()
 	}
+	tc.Digests["sched"] = digest(fmt.Appendf(nil, "%d %d %d %d %d %t %d %q",
+		t.sched.Now().UnixNano(), t.sched.Steps(), t.sched.Seq(), t.sched.Pending(),
+		t.scheduled, t.cursor == nil, t.wdraws.n, attachErr))
+	tc.Digests["events"] = digest(fmt.Appendf(nil, "%d %s", t.events.n, t.events.Sum()))
+	var bill [2]int64
 	if t.eng != nil {
 		if bs, err := t.eng.BillingPeriodStart(warehouseName); err == nil && !bs.IsZero() {
-			tc.BillStart = bs.UnixNano()
+			bill[0] = bs.UnixNano()
 		}
 		if wm, err := t.eng.BillingWatermark(warehouseName); err == nil && !wm.IsZero() {
-			tc.BillingWatermark = wm.UnixNano()
+			bill[1] = wm.UnixNano()
 		}
 	}
-	return tc, nil
+	tc.Digests["billing"] = digest(fmt.Appendf(nil, "%d", bill))
+	return tc
 }
 
-// Checkpoint takes a snapshot of the fleet at its current epoch
-// boundary. Callers drive it between epochs (RunEpoch calls it on the
-// barrier); the plane lock orders it against concurrent ops scrapes.
+// Checkpoint records the fleet at its current epoch boundary. Callers
+// drive it between epochs (RunEpoch calls it on the barrier); the plane
+// lock orders it against concurrent ops scrapes.
 func (f *Fleet) Checkpoint() (*Checkpoint, error) {
 	f.plane.mu.Lock()
 	defer f.plane.mu.Unlock()
+	var series []byte
+	for _, s := range f.plane.fleet {
+		series = s.AppendState(series)
+	}
+	tr := f.plane.tracker
+	alerts := fmt.Appendf(nil, "%d %q\n", tr.Seq(), tr.FiringKeys())
+	for _, a := range tr.Log() {
+		alerts = append(append(alerts, a.JSON()...), '\n')
+	}
 	cp := &Checkpoint{
 		Version: CheckpointVersion,
 		Epoch:   f.epoch,
 		Now:     f.Now().UnixNano(),
 		Config:  checkpointConfigOf(f.cfg),
+		Digests: Digests{"series": digest(series), "alerts": digest(alerts)},
+		Tenants: make([]TenantCheckpoint, len(f.tenants)),
 	}
-	cp.FleetSeries = make([]obs.SeriesSnapshot, len(f.plane.fleet))
-	for i, s := range f.plane.fleet {
-		cp.FleetSeries[i] = s.Snapshot()
-	}
-	cp.Alerts = AlertState{
-		Seq:    f.plane.tracker.Seq(),
-		Firing: f.plane.tracker.FiringKeys(),
-		Log:    f.plane.tracker.Log(),
-	}
-	cp.Tenants = make([]TenantCheckpoint, len(f.tenants))
 	for i, t := range f.tenants {
-		tc, err := t.checkpoint()
-		if err != nil {
-			return nil, err
-		}
-		cp.Tenants[i] = tc
+		cp.Tenants[i] = t.checkpoint()
 	}
 	return cp, nil
 }
@@ -262,7 +261,7 @@ func checkpointFileName(epoch int) string {
 	return fmt.Sprintf("fleet-epoch-%06d.ckpt.json", epoch)
 }
 
-// WriteCheckpoint snapshots the fleet and writes it atomically into
+// WriteCheckpoint records the fleet and writes it atomically into
 // Config.CheckpointDir: the bytes land in a temp file first and the
 // final name appears only via rename, so readers (and crashes) never
 // see a partial checkpoint.
@@ -313,12 +312,21 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cp Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
+	cp, err := parseCheckpoint(data)
+	if err != nil {
 		return nil, fmt.Errorf("fleet: checkpoint %s: %w", path, err)
 	}
+	return cp, nil
+}
+
+// parseCheckpoint decodes and validates checkpoint bytes.
+func parseCheckpoint(data []byte) (*Checkpoint, error) {
+	var cp Checkpoint
+	if err := json.Unmarshal(data, &cp); err != nil {
+		return nil, err
+	}
 	if err := cp.validate(); err != nil {
-		return nil, fmt.Errorf("fleet: checkpoint %s: %w", path, err)
+		return nil, err
 	}
 	return &cp, nil
 }
@@ -381,10 +389,10 @@ func LatestCheckpoint(dir string) (*Checkpoint, string, error) {
 // Resume reconstructs a running fleet from a checkpoint: provision a
 // fresh fleet under the merged config, deterministically replay epochs
 // 1..cp.Epoch (external alert delivery muted, watchdog off), and verify
-// the replayed state against the checkpoint field by field. The
-// returned fleet stands exactly where the interrupted one stood —
-// continuing it produces a byte-identical report fingerprint to a run
-// that was never interrupted.
+// the replayed state's digests against the checkpoint's. The returned
+// fleet stands exactly where the interrupted one stood — continuing it
+// produces a byte-identical report fingerprint to a run that was never
+// interrupted.
 func Resume(cp *Checkpoint, base Config) (*Fleet, error) {
 	if err := cp.validate(); err != nil {
 		return nil, fmt.Errorf("fleet: resume: %w", err)
@@ -427,9 +435,9 @@ func Resume(cp *Checkpoint, base Config) (*Fleet, error) {
 	return f, nil
 }
 
-// verifyCheckpoint re-snapshots the replayed fleet and compares it to
-// the checkpoint. Replay determinism makes equality the expected case;
-// any difference means the checkpoint does not belong to this config or
+// verifyCheckpoint digests the replayed fleet and compares it to the
+// checkpoint. Replay determinism makes equality the expected case; any
+// difference means the checkpoint does not belong to this config or
 // build, and the resume must not continue.
 func (f *Fleet) verifyCheckpoint(cp *Checkpoint) error {
 	got, err := f.Checkpoint()
@@ -440,11 +448,8 @@ func (f *Fleet) verifyCheckpoint(cp *Checkpoint) error {
 		return fmt.Errorf("fleet: resume verify: replay stands at epoch %d/now %d, checkpoint has %d/%d",
 			got.Epoch, got.Now, cp.Epoch, cp.Now)
 	}
-	if err := jsonEq("fleet series", got.FleetSeries, cp.FleetSeries); err != nil {
-		return err
-	}
-	if err := jsonEq("alert state", got.Alerts, cp.Alerts); err != nil {
-		return err
+	if c := got.Digests.diff(cp.Digests); c != "" {
+		return fmt.Errorf("fleet: resume verify: fleet %s digest diverged", c)
 	}
 	for i := range cp.Tenants {
 		want, have := cp.Tenants[i], got.Tenants[i]
@@ -456,167 +461,32 @@ func (f *Fleet) verifyCheckpoint(cp *Checkpoint) error {
 				have.QuarantineReason != want.QuarantineReason {
 				return fmt.Errorf("fleet: resume verify: tenant %s quarantine state diverged", want.Tenant)
 			}
-			continue
-		}
-		if have.Quarantined {
+		} else if have.Quarantined {
 			return fmt.Errorf("fleet: resume verify: tenant %s quarantined during replay: %s",
 				want.Tenant, have.QuarantineReason)
 		}
-		if err := jsonEq("tenant "+want.Tenant, have, want); err != nil {
-			return err
+		if c := have.Digests.diff(want.Digests); c != "" {
+			return fmt.Errorf("fleet: resume verify: tenant %s %s digest diverged", want.Tenant, c)
 		}
-	}
-	return nil
-}
-
-// jsonEq compares two values by their deterministic JSON encodings and
-// reports the first divergence with both renderings.
-func jsonEq(what string, got, want any) error {
-	g, err := json.Marshal(got)
-	if err != nil {
-		return err
-	}
-	w, err := json.Marshal(want)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(g, w) {
-		return fmt.Errorf("fleet: resume verify: %s diverged\n  replayed:   %s\n  checkpoint: %s", what, g, w)
 	}
 	return nil
 }
 
 // CheckpointView rebuilds the fleet ops payloads (live KPIs, time
-// series, SLO status) from a checkpoint alone — no replay, no fleet.
-// The portal uses it to inspect a crashed run offline.
-func CheckpointView(cp *Checkpoint) (LiveKPIs, FleetTimeSeries, SLOStatus, error) {
-	var (
-		kpis LiveKPIs
-		ts   FleetTimeSeries
-		slo  SLOStatus
-	)
-	if err := cp.validate(); err != nil {
-		return kpis, ts, slo, fmt.Errorf("fleet: checkpoint view: %w", err)
-	}
-	cfg, err := cp.Config.Merge(Config{}).withDefaults()
+// series, SLO status) of a checkpointed run: it resumes the checkpoint
+// under base, exactly as Resume does — replaying its epochs and
+// refusing a checkpoint this build cannot reproduce — and reads the
+// payloads off the resumed fleet, so the offline view equals the live
+// one by construction. A checkpoint of the final epoch reads as a
+// finished run. The portal uses it to inspect a crashed run offline.
+func CheckpointView(cp *Checkpoint, base Config) (LiveKPIs, FleetTimeSeries, SLOStatus, error) {
+	f, err := Resume(cp, base)
 	if err != nil {
-		return kpis, ts, slo, fmt.Errorf("fleet: checkpoint view: %w", err)
+		return LiveKPIs{}, FleetTimeSeries{}, SLOStatus{}, fmt.Errorf("fleet: checkpoint view: %w", err)
 	}
-	objectives := cfg.SLO.Objectives()
-
-	kpis = LiveKPIs{
-		Seed:        cfg.Seed,
-		Tenants:     cfg.Tenants,
-		Epoch:       cp.Epoch,
-		Epochs:      cfg.Epochs,
-		EpochLen:    cfg.EpochLen,
-		AttachEpoch: cfg.AttachEpoch,
-		Now:         time.Unix(0, cp.Now).UTC(),
-		Done:        cp.Epoch == cfg.Epochs,
-		Fleet:       make(map[string]float64, len(cp.FleetSeries)),
+	defer f.Close()
+	if f.epoch == f.cfg.Epochs {
+		f.finish()
 	}
-	ts = FleetTimeSeries{
-		Budget:   cfg.SeriesBudget,
-		EpochLen: cfg.EpochLen,
-		Epoch:    cp.Epoch,
-	}
-	for _, snap := range cp.FleetSeries {
-		s, err := obs.RestoreSeries(snap)
-		if err != nil {
-			return kpis, ts, slo, fmt.Errorf("fleet: checkpoint view: %w", err)
-		}
-		kpis.Fleet[s.Name()] = s.Last()
-		ts.Fleet = append(ts.Fleet, s.Dump())
-	}
-	slo = SLOStatus{
-		Config:             cfg.SLO,
-		Objectives:         objectives,
-		FailingByObjective: make(map[string]int),
-	}
-	for _, tc := range cp.Tenants {
-		series := make(map[string]*obs.Series, len(tc.Recorder.Series))
-		var dumps []obs.SeriesDump
-		for _, snap := range tc.Recorder.Series {
-			s, err := obs.RestoreSeries(snap)
-			if err != nil {
-				return kpis, ts, slo, fmt.Errorf("fleet: checkpoint view: tenant %s: %w", tc.Tenant, err)
-			}
-			series[s.Name()] = s
-			dumps = append(dumps, s.Dump())
-		}
-		lookup := func(name string) *obs.Series { return series[name] }
-		verdicts := obs.Evaluate(objectives, lookup)
-		failed := obs.FailedObjectives(verdicts)
-
-		live := TenantLive{
-			Tenant:    tc.Tenant,
-			Index:     tc.Index,
-			Seed:      tc.Seed,
-			Profile:   tc.Profile,
-			Last:      make(map[string]float64, len(series)),
-			SLOPass:   len(failed) == 0,
-			WorstBurn: obs.WorstBurn(verdicts),
-			Failed:    failed,
-			Replay:    replayCommand(cfg, tc.Index, tc.Seed),
-		}
-		for name, s := range series {
-			live.Last[name] = s.Last()
-		}
-		row := TenantSLO{
-			Tenant:    tc.Tenant,
-			Pass:      live.SLOPass,
-			WorstBurn: live.WorstBurn,
-			Verdicts:  verdicts,
-			Replay:    live.Replay,
-		}
-		if tc.Quarantined {
-			live.Quarantined, row.Quarantined = true, true
-			live.QuarantineEpoch, row.QuarantineEpoch = tc.QuarantineEpoch, tc.QuarantineEpoch
-			live.QuarantineReason, row.QuarantineReason = tc.QuarantineReason, tc.QuarantineReason
-			kpis.Quarantined++
-			slo.Quarantined++
-		}
-		if !live.SLOPass {
-			kpis.SLOFailing++
-		}
-		if row.Pass {
-			slo.Passing++
-		} else {
-			slo.Failing++
-		}
-		for _, name := range failed {
-			slo.FailingByObjective[name]++
-		}
-		if row.WorstBurn > slo.WorstBurn {
-			slo.WorstBurn = row.WorstBurn
-		}
-		kpis.PerTenant = append(kpis.PerTenant, live)
-		ts.PerTenant = append(ts.PerTenant, TenantSeries{Tenant: tc.Tenant, Series: dumps})
-		slo.PerTenant = append(slo.PerTenant, row)
-	}
-	slo.Alerts = alertSummaryOf(cp.Alerts)
-	return kpis, ts, slo, nil
-}
-
-// alertSummaryOf rolls a checkpointed alert state up the same way the
-// live plane does.
-func alertSummaryOf(st AlertState) AlertSummary {
-	sum := AlertSummary{Total: st.Seq, Firing: st.Firing}
-	log := st.Log
-	for _, a := range log {
-		switch a.Kind {
-		case obs.AlertSLOBreach:
-			sum.Breaches++
-		case obs.AlertSLORecovery:
-			sum.Recoveries++
-		case obs.AlertQuarantine:
-			sum.Quarantines++
-		}
-	}
-	const recent = 20
-	if len(log) > recent {
-		log = log[len(log)-recent:]
-	}
-	sum.Recent = log
-	return sum
+	return f.KPIs(), f.TimeSeries(), f.SLOStatus(), nil
 }

@@ -17,43 +17,40 @@ func resumeBase(cfg Config) Config {
 	return Config{Workers: 3, Opts: cfg.Opts}
 }
 
+// resumeFingerprint resumes the checkpoint of epoch k in dir, runs the
+// resumed fleet to completion, and returns the report fingerprint.
+func resumeFingerprint(t *testing.T, dir string, k int, cfg Config) string {
+	t.Helper()
+	cp, err := LoadCheckpoint(filepath.Join(dir, checkpointFileName(k)))
+	if err != nil {
+		t.Fatalf("LoadCheckpoint(epoch %d): %v", k, err)
+	}
+	f, err := Resume(cp, resumeBase(cfg))
+	if err != nil {
+		t.Fatalf("Resume from epoch %d: %v", k, err)
+	}
+	defer f.Close()
+	rep, err := f.Run()
+	if err != nil {
+		t.Fatalf("Run after resume from epoch %d: %v", k, err)
+	}
+	return rep.Fingerprint()
+}
+
 // TestCheckpointResumeFingerprintIdentical is the tentpole property: a
-// run interrupted at ANY checkpoint and resumed in a fresh fleet must
-// finish with a report fingerprint byte-identical to the uninterrupted
-// run — crash recovery may not perturb a single simulated byte.
+// run interrupted at ANY epoch boundary and resumed in a fresh fleet
+// must finish with a report fingerprint byte-identical to the
+// uninterrupted run — crash recovery may not perturb a single simulated
+// byte.
 func TestCheckpointResumeFingerprintIdentical(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(4, 2)
 	cfg.CheckpointDir = dir
-	cfg.CheckpointEvery = 5
-	base := runFleet(t, cfg)
-	want := base.Fingerprint()
-
-	// Epochs 5 and 10 on the cadence, 12 because the final epoch always
-	// checkpoints.
-	names, err := filepath.Glob(filepath.Join(dir, "fleet-epoch-*.ckpt.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 3 {
-		t.Fatalf("checkpoint files = %v, want epochs 5, 10, 12", names)
-	}
-	for _, name := range names {
-		cp, err := LoadCheckpoint(name)
-		if err != nil {
-			t.Fatalf("LoadCheckpoint(%s): %v", name, err)
-		}
-		f, err := Resume(cp, resumeBase(cfg))
-		if err != nil {
-			t.Fatalf("Resume(%s): %v", name, err)
-		}
-		rep, err := f.Run()
-		f.Close()
-		if err != nil {
-			t.Fatalf("Run after resume from %s: %v", name, err)
-		}
-		if got := rep.Fingerprint(); got != want {
-			t.Errorf("resume from %s: fingerprint %s != uninterrupted %s", name, got, want)
+	cfg.CheckpointEvery = 1
+	want := runFleet(t, cfg).Fingerprint()
+	for k := 1; k <= cfg.Epochs; k++ {
+		if got := resumeFingerprint(t, dir, k, cfg); got != want {
+			t.Errorf("resume from epoch %d: fingerprint %s != uninterrupted %s", k, got, want)
 		}
 	}
 }
@@ -98,47 +95,71 @@ func TestResumeDoesNotRewriteReplayedCheckpoints(t *testing.T) {
 	}
 }
 
-// TestCheckpointViewMatchesLive: the offline portal view rebuilt from a
-// checkpoint alone must be JSON-identical to the live fleet's ops
-// payloads at the same epoch.
+// TestCheckpointViewMatchesLive: the offline portal view of a
+// checkpoint must be JSON-identical to the live fleet's ops payloads at
+// the same epoch — for a finished fleet, for one with a quarantined
+// tenant (whose frozen series the live payloads keep showing), and for
+// a checkpoint taken mid-run.
 func TestCheckpointViewMatchesLive(t *testing.T) {
-	cfg := testConfig(3, 2)
-	cfg.Epochs = 6
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := f.Run(); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := f.Checkpoint()
-	if err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	kpis, ts, slo, err := CheckpointView(cp)
-	if err != nil {
-		t.Fatalf("CheckpointView: %v", err)
-	}
-	for _, pair := range []struct {
-		what       string
-		view, live any
+	for _, tc := range []struct {
+		name       string
+		quarantine bool // arm t01's panic probe for epoch 3
+		stopAt     int  // epochs run before the checkpoint; 0 runs to completion
 	}{
-		{"kpis", kpis, f.KPIs()},
-		{"timeseries", ts, f.TimeSeries()},
-		{"slo", slo, f.SLOStatus()},
+		{"clean", false, 0},
+		{"quarantined", true, 0},
+		{"mid-run", false, 4},
 	} {
-		v, err := json.Marshal(pair.view)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := json.Marshal(pair.live)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(v) != string(l) {
-			t.Errorf("%s: checkpoint view diverges from live payload:\nview: %s\nlive: %s", pair.what, v, l)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(3, 2)
+			cfg.Epochs = 6
+			if tc.quarantine {
+				cfg.PanicTenants = []int{1}
+				cfg.PanicEpoch = 3
+			}
+			f, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if tc.stopAt == 0 {
+				_, err = f.Run()
+			}
+			for err == nil && f.Epoch() < tc.stopAt {
+				err = f.RunEpoch()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := f.Checkpoint()
+			if err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			kpis, ts, slo, err := CheckpointView(cp, resumeBase(cfg))
+			if err != nil {
+				t.Fatalf("CheckpointView: %v", err)
+			}
+			for _, pair := range []struct {
+				what       string
+				view, live any
+			}{
+				{"kpis", kpis, f.KPIs()},
+				{"timeseries", ts, f.TimeSeries()},
+				{"slo", slo, f.SLOStatus()},
+			} {
+				v, err := json.Marshal(pair.view)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l, err := json.Marshal(pair.live)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(v) != string(l) {
+					t.Errorf("%s: checkpoint view diverges from live payload:\nview: %s\nlive: %s", pair.what, v, l)
+				}
+			}
+		})
 	}
 }
 
@@ -199,9 +220,21 @@ func TestLoadCheckpointRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointRejectsV1: a checkpoint written in format v1 (the
+// committed fixture came from a real v1 kwo-fleet run) is refused for
+// its version, not misread as v2 state.
+func TestLoadCheckpointRejectsV1(t *testing.T) {
+	_, err := LoadCheckpoint(filepath.Join("testdata", "v1.ckpt.json"))
+	if want := "unsupported version 1 (this build reads 2)"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v1 checkpoint: err = %v, want %q", err, want)
+	}
+}
+
 // TestResumeRejectsTamper: a checkpoint whose recorded state does not
 // match what the deterministic replay reproduces must be refused —
-// silent divergence would corrupt everything after the resume.
+// silent divergence would corrupt everything after the resume. Every
+// digest is flipped in turn, and the error names the component (and the
+// tenant, for a tenant's digest).
 func TestResumeRejectsTamper(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(2, 1)
@@ -211,24 +244,43 @@ func TestResumeRejectsTamper(t *testing.T) {
 	runFleet(t, cfg)
 	path := filepath.Join(dir, checkpointFileName(4))
 
-	cp, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct{ tenant, component string }{
+		{"", "series"},
+		{"", "alerts"},
+		{"t00", "sched"},
+		{"t00", "events"},
+		{"t00", "billing"},
+		{"t00", "recorder"},
 	}
-	cp.Tenants = append([]TenantCheckpoint(nil), cp.Tenants...)
-	cp.Tenants[0].SchedSteps++
-	if _, err := Resume(cp, resumeBase(cfg)); err == nil || !strings.Contains(err.Error(), "resume verify") {
-		t.Fatalf("tampered scheduler state: err = %v, want resume verify failure", err)
+	for _, c := range cases {
+		cp, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(cp.Digests) + len(cp.Tenants[0].Digests); n != len(cases) {
+			t.Fatalf("checkpoint carries %d digests, the cases cover %d", n, len(cases))
+		}
+		d, want := cp.Digests, "fleet "+c.component+" digest diverged"
+		if c.tenant != "" {
+			d, want = cp.Tenants[0].Digests, "tenant "+c.tenant+" "+c.component+" digest diverged"
+		}
+		if _, ok := d[c.component]; !ok {
+			t.Fatalf("checkpoint has no %q digest for %q", c.component, c.tenant)
+		}
+		d[c.component] = digest([]byte("tampered"))
+		if _, err := Resume(cp, resumeBase(cfg)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("tampered %s %s digest: err = %v, want %q", c.tenant, c.component, err, want)
+		}
 	}
 
 	// A checkpointed config that defaulting would alter is a config from
 	// a different build — the merge guard must catch it before replay.
-	cp2, err := LoadCheckpoint(path)
+	cp, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp2.Config.SeriesBudget = 0
-	if _, err := Resume(cp2, resumeBase(cfg)); err == nil || !strings.Contains(err.Error(), "config mismatch") {
+	cp.Config.SeriesBudget = 0
+	if _, err := Resume(cp, resumeBase(cfg)); err == nil || !strings.Contains(err.Error(), "config mismatch") {
 		t.Fatalf("defaulting-altered config: err = %v, want config mismatch", err)
 	}
 }

@@ -75,7 +75,8 @@ type Config struct {
 	// best-effort (failures are counted, not fatal) and muted during
 	// checkpoint replay so a resumed run never re-delivers alerts from
 	// before the crash. Alerts themselves are deterministic either way —
-	// the tracker log behind /fleet/slo is part of the checkpoint.
+	// the replay rebuilds the tracker log behind /fleet/slo, and the
+	// checkpoint's alerts digest checks it.
 	AlertSink obs.AlertSink
 	// CheckpointDir, when set, makes the fleet write an epoch-aligned
 	// crash-recovery checkpoint (atomically, temp file + rename) every
@@ -394,18 +395,25 @@ func (f *Fleet) Run() (*Report, error) {
 			return nil, err
 		}
 	}
-	if !f.done {
-		f.done = true
-		f.fanout(len(f.tenants), func(i int) {
-			// A quarantined tenant is never touched again — its KPI row
-			// was frozen at the quarantine epoch.
-			if !f.tenants[i].quarantined() {
-				f.tenants[i].finalize()
-			}
-		})
-		f.plane.setDone()
-	}
+	f.finish()
 	return f.report(), nil
+}
+
+// finish stops every tenant's optimizer once the last epoch has run and
+// marks the fleet done. Idempotent.
+func (f *Fleet) finish() {
+	if f.done {
+		return
+	}
+	f.done = true
+	f.fanout(len(f.tenants), func(i int) {
+		// A quarantined tenant is never touched again — its KPI row
+		// was frozen at the quarantine epoch.
+		if !f.tenants[i].quarantined() {
+			f.tenants[i].finalize()
+		}
+	})
+	f.plane.setDone()
 }
 
 // report rolls up per-tenant KPIs into the fleet view. KPI computation

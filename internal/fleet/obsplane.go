@@ -37,10 +37,10 @@ type obsPlane struct {
 	done       bool
 
 	// The alert plane. The tracker is the deterministic part — it runs
-	// on the simulation clock and its log is checkpointed state. The
-	// sink is external delivery (JSONL file, operator pager); mute turns
-	// delivery off during checkpoint replay so a resumed run does not
-	// re-page for alerts already delivered before the crash.
+	// on the simulation clock, so a checkpoint replay rebuilds its log.
+	// The sink is external delivery (JSONL file, operator pager); mute
+	// turns delivery off during checkpoint replay so a resumed run does
+	// not re-page for alerts already delivered before the crash.
 	tracker  *obs.AlertTracker
 	sink     obs.AlertSink
 	mute     bool

@@ -172,41 +172,32 @@ func TestQuarantineFrozenSLOStable(t *testing.T) {
 	}
 }
 
-// TestResumeAcrossQuarantine: checkpoints taken before AND after a
-// quarantine both resume to the uninterrupted run's exact fingerprint.
-// Before: the panic probe fires live in the resumed process. After: the
-// checkpoint's quarantine record is restored without re-panicking.
+// TestResumeAcrossQuarantine: a checkpoint from every epoch boundary —
+// before, at and after a quarantine — resumes to the uninterrupted
+// run's exact fingerprint. Before: the panic probe fires live in the
+// resumed process. At and after: the checkpoint's quarantine record is
+// restored without re-panicking.
 func TestResumeAcrossQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(4, 2)
 	cfg.PanicTenants = []int{1}
 	cfg.PanicEpoch = 3
 	cfg.CheckpointDir = dir
-	cfg.CheckpointEvery = 2
-	base := runFleet(t, cfg)
-	want := base.Fingerprint()
+	cfg.CheckpointEvery = 1
+	want := runFleet(t, cfg).Fingerprint()
 
-	for _, epoch := range []int{2, 6} {
-		cp, err := LoadCheckpoint(filepath.Join(dir, checkpointFileName(epoch)))
-		if err != nil {
-			t.Fatalf("epoch %d: %v", epoch, err)
-		}
-		if epoch > 3 {
-			if !cp.Tenants[1].Quarantined || cp.Tenants[1].QuarantineEpoch != 3 {
-				t.Fatalf("epoch-%d checkpoint does not record the quarantine: %+v", epoch, cp.Tenants[1])
+	for k := 1; k <= cfg.Epochs; k++ {
+		if k >= cfg.PanicEpoch {
+			cp, err := LoadCheckpoint(filepath.Join(dir, checkpointFileName(k)))
+			if err != nil {
+				t.Fatalf("epoch %d: %v", k, err)
+			}
+			if tc := cp.Tenants[1]; !tc.Quarantined || tc.QuarantineEpoch != cfg.PanicEpoch {
+				t.Fatalf("epoch-%d checkpoint does not record the quarantine: %+v", k, tc)
 			}
 		}
-		f, err := Resume(cp, resumeBase(cfg))
-		if err != nil {
-			t.Fatalf("Resume from epoch %d: %v", epoch, err)
-		}
-		rep, err := f.Run()
-		f.Close()
-		if err != nil {
-			t.Fatalf("Run after resume from epoch %d: %v", epoch, err)
-		}
-		if got := rep.Fingerprint(); got != want {
-			t.Errorf("resume from epoch %d: fingerprint %s != uninterrupted %s", epoch, got, want)
+		if got := resumeFingerprint(t, dir, k, cfg); got != want {
+			t.Errorf("resume from epoch %d: fingerprint %s != uninterrupted %s", k, got, want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"crypto/sha256"
-	"encoding"
 	"encoding/hex"
 	"fmt"
 	"hash"
@@ -195,17 +194,6 @@ func (e *eventHasher) Emit(ev obs.Event) {
 
 // Sum returns the hex fingerprint of everything hashed so far.
 func (e *eventHasher) Sum() string { return hex.EncodeToString(e.h.Sum(nil)) }
-
-// State exports the running hash's internal state (sha256 implements
-// encoding.BinaryMarshaler) so a checkpoint can pin the event stream's
-// exact position, not just its digest so far.
-func (e *eventHasher) State() ([]byte, error) {
-	m, ok := e.h.(encoding.BinaryMarshaler)
-	if !ok {
-		return nil, fmt.Errorf("fleet: event hash %T is not marshalable", e.h)
-	}
-	return m.MarshalBinary()
-}
 
 // countingSource wraps a rand.Source64 and counts draws — the RNG
 // stream position a checkpoint records. It implements both Int63 and

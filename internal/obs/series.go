@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -500,6 +502,46 @@ func bucketQuantile(q float64, bounds []float64, counts []uint64) float64 {
 		}
 	}
 	return bounds[len(bounds)-1]
+}
+
+// AppendState appends the series' full internal state to b in a fixed
+// binary layout: name, agg, budget, stride, every retained point with
+// its fold count, and the pending bucket. Timestamps are UnixNano, so
+// two series append the same bytes exactly when they render alike now
+// and keep doing so under further appends — the property a checkpoint
+// digest of the series needs.
+func (s *Series) AppendState(b []byte) []byte {
+	b = append(append(b, s.name...), 0)
+	for _, v := range []int{int(s.agg), s.budget, s.stride, len(s.pts)} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	for _, p := range s.pts {
+		b = appendPoint(b, p)
+	}
+	return appendPoint(b, s.pend)
+}
+
+func appendPoint(b []byte, p point) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(p.t.UnixNano()))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.v))
+	return binary.LittleEndian.AppendUint64(b, uint64(p.n))
+}
+
+// AppendState appends the recorder's mutable state to b: every series'
+// state plus the previous-tick counter values and histogram buckets
+// that make delta and quantile samples per-interval. Recorders over the
+// same specs append the same bytes exactly when their series agree and
+// their next samples over the same registry would too.
+func (rec *Recorder) AppendState(b []byte) []byte {
+	for i, s := range rec.series {
+		b = s.AppendState(b)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rec.prev[i]))
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(rec.prevHist[i])))
+		for _, c := range rec.prevHist[i] {
+			b = binary.LittleEndian.AppendUint64(b, c)
+		}
+	}
+	return b
 }
 
 // String renders a compact human summary, for logs and tests.

@@ -231,3 +231,99 @@ func TestSeriesGaugesRoundTripExposition(t *testing.T) {
 		t.Fatalf("summed kwo_series_last = %v, want 3 (queries delta only)", got)
 	}
 }
+
+// TestSeriesStateCoversEveryField: a checkpoint digest of a series is
+// only as good as AppendState's coverage. Identically built series must
+// append identical bytes, and changing any one piece of internal state
+// — including the pending bucket and the fold counts that do not show
+// in Points — must change them.
+func TestSeriesStateCoversEveryField(t *testing.T) {
+	build := func() *Series {
+		s := NewSeries("x", AggMean, 8)
+		for i := 0; i < 11; i++ { // one halving, then a pending bucket
+			s.Append(tick(i), float64(i%5+1))
+		}
+		return s
+	}
+	ref := string(build().AppendState(nil))
+	if got := string(build().AppendState(nil)); got != ref {
+		t.Fatal("identically built series append different state")
+	}
+	if s := build(); s.pend.n == 0 || s.stride < 2 {
+		t.Fatalf("fixture lost its shape: stride %d, pending %d", s.stride, s.pend.n)
+	}
+	for _, c := range []struct {
+		what   string
+		mutate func(*Series)
+	}{
+		{"name", func(s *Series) { s.name = "y" }},
+		{"agg", func(s *Series) { s.agg = AggSum }},
+		{"budget", func(s *Series) { s.budget += 2 }},
+		{"stride", func(s *Series) { s.stride *= 2 }},
+		{"point time", func(s *Series) { s.pts[1].t = s.pts[1].t.Add(time.Nanosecond) }},
+		{"point value", func(s *Series) { s.pts[1].v++ }},
+		{"point fold count", func(s *Series) { s.pts[1].n++ }},
+		{"point count", func(s *Series) { s.pts = s.pts[:len(s.pts)-1] }},
+		{"pending time", func(s *Series) { s.pend.t = s.pend.t.Add(time.Nanosecond) }},
+		{"pending value", func(s *Series) { s.pend.v++ }},
+		{"pending fold count", func(s *Series) { s.pend.n++ }},
+		{"no pending bucket", func(s *Series) { s.pend = point{} }},
+	} {
+		s := build()
+		c.mutate(s)
+		if string(s.AppendState(nil)) == ref {
+			t.Errorf("%s change does not show in the series state", c.what)
+		}
+	}
+}
+
+// TestRecorderStateCoversBaselines extends the coverage property to the
+// Recorder: besides its series, the previous-tick counter values and
+// histogram buckets decide the next delta and quantile samples, so they
+// must show in the state too.
+func TestRecorderStateCoversBaselines(t *testing.T) {
+	build := func() *Recorder {
+		now := t0
+		h := NewHub(func() time.Time { return now })
+		rec := NewRecorder(h, FleetSpecs(), 16)
+		for i := 0; i < 5; i++ {
+			h.Queries.With("WH").Add(float64(10 + i))
+			for j := 0; j < 20; j++ {
+				h.QueryLatency.With("WH").Observe(0.05 * float64(i+1))
+			}
+			rec.Sample(tick(i))
+		}
+		return rec
+	}
+	ref := string(build().AppendState(nil))
+	if got := string(build().AppendState(nil)); got != ref {
+		t.Fatal("identically driven recorders append different state")
+	}
+	delta, quant := -1, -1
+	for i, sp := range FleetSpecs() {
+		switch {
+		case sp.Mode == ModeDelta && delta < 0:
+			delta = i
+		case sp.Mode == ModeQuantile && quant < 0:
+			quant = i
+		}
+	}
+	if delta < 0 || quant < 0 {
+		t.Fatal("FleetSpecs has no delta or no quantile spec")
+	}
+	for _, c := range []struct {
+		what   string
+		mutate func(*Recorder)
+	}{
+		{"series", func(r *Recorder) { r.series[0].pts[0].v++ }},
+		{"previous counter", func(r *Recorder) { r.prev[delta]++ }},
+		{"previous histogram", func(r *Recorder) { r.prevHist[quant][0]++ }},
+		{"missing histogram baseline", func(r *Recorder) { r.prevHist[quant] = nil }},
+	} {
+		r := build()
+		c.mutate(r)
+		if string(r.AppendState(nil)) == ref {
+			t.Errorf("%s change does not show in the recorder state", c.what)
+		}
+	}
+}
