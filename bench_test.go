@@ -15,6 +15,7 @@ package kwo_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -225,9 +226,45 @@ func BenchmarkDQNStep(b *testing.B) {
 	for i := range state {
 		state[i] = rng.Float64()
 	}
+	// The first step builds the networks' scratch; keep it out of the
+	// steady state being measured. Each GC start wakes runtime cleanup
+	// goroutines (the unique package's, linked in through net/http)
+	// that allocate a little, so finish any cycle set-up triggered
+	// before timing a loop that allocates nothing.
+	agent.Observe(ml.Transition{State: state, Action: 0, Reward: 1, NextState: state})
+	runtime.GC()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agent.Observe(ml.Transition{State: state, Action: i % 7, Reward: 1, NextState: state})
+	}
+}
+
+// BenchmarkDQNPretrain measures one production offline pass: 1500
+// minibatch steps (core.DefaultOptions().PretrainSteps) with the
+// production agent over a replay buffer already holding a mix of
+// terminal and bootstrapped transitions.
+func BenchmarkDQNPretrain(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	agent := rl.NewAgent(rng, rl.DefaultConfig())
+	states := make([][]float64, 64)
+	for i := range states {
+		states[i] = make([]float64, rl.StateDim)
+		for j := range states[i] {
+			states[i][j] = rng.Float64()
+		}
+	}
+	history := make([]ml.Transition, 2000)
+	for i := range history {
+		history[i] = ml.Transition{State: states[i%64], Action: i % 7, Reward: rng.Float64() - 0.5,
+			NextState: states[(i+1)%64], Terminal: i%4 == 0}
+	}
+	agent.Pretrain(history, 1) // builds the networks' scratch
+	runtime.GC()               // as in BenchmarkDQNStep
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agent.Pretrain(nil, 1500)
 	}
 }
 
@@ -236,6 +273,8 @@ func BenchmarkDQNRank(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	agent := rl.NewAgent(rng, rl.DefaultConfig())
 	state := make([]float64, rl.StateDim)
+	agent.Rank(state) // builds the network's scratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agent.Rank(state)

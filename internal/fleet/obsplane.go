@@ -227,15 +227,15 @@ type AlertSummary struct {
 // objectives, fleet pass/fail counts, and per-tenant verdicts with the
 // replay command that reproduces each tenant standalone.
 type SLOStatus struct {
-	Config             obs.SLOConfig  `json:"config"`
+	Config             obs.SLOConfig   `json:"config"`
 	Objectives         []obs.Objective `json:"objectives"`
-	Passing            int            `json:"passing"`
-	Failing            int            `json:"failing"`
-	WorstBurn          float64        `json:"worst_burn"`
-	FailingByObjective map[string]int `json:"failing_by_objective"`
-	Quarantined        int            `json:"quarantined,omitempty"`
-	Alerts             AlertSummary   `json:"alerts"`
-	PerTenant          []TenantSLO    `json:"per_tenant"`
+	Passing            int             `json:"passing"`
+	Failing            int             `json:"failing"`
+	WorstBurn          float64         `json:"worst_burn"`
+	FailingByObjective map[string]int  `json:"failing_by_objective"`
+	Quarantined        int             `json:"quarantined,omitempty"`
+	Alerts             AlertSummary    `json:"alerts"`
+	PerTenant          []TenantSLO     `json:"per_tenant"`
 }
 
 // KPIs builds the live KPI payload. Safe while the fleet advances:

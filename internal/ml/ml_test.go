@@ -278,7 +278,7 @@ func TestReplayBufferEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	seen := map[int]bool{}
 	for i := 0; i < 100; i++ {
-		for _, tr := range b.Sample(rng, 3) {
+		for _, tr := range b.Sample(nil, rng, 3) {
 			seen[tr.Action] = true
 		}
 	}
@@ -292,12 +292,12 @@ func TestReplayBufferEviction(t *testing.T) {
 
 func TestReplayBufferSampleSmall(t *testing.T) {
 	b := NewReplayBuffer(10)
-	if got := b.Sample(rand.New(rand.NewSource(1)), 4); got != nil {
+	if got := b.Sample(nil, rand.New(rand.NewSource(1)), 4); got != nil {
 		t.Fatal("empty buffer sampled non-nil")
 	}
 	b.Add(Transition{Action: 1})
 	b.Add(Transition{Action: 2})
-	got := b.Sample(rand.New(rand.NewSource(1)), 5)
+	got := b.Sample(nil, rand.New(rand.NewSource(1)), 5)
 	if len(got) != 2 {
 		t.Fatalf("undersized sample = %d, want all 2", len(got))
 	}

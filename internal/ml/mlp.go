@@ -56,12 +56,22 @@ type layer struct {
 // MLP is a feed-forward network trained with backpropagation and SGD
 // (with optional gradient clipping). It is the function approximator
 // behind the DQN in internal/rl.
+//
+// An MLP is not safe for concurrent use, not even by concurrent
+// Forward calls: evaluation and training run in scratch buffers the
+// network owns and reuses, which keeps both allocation-free.
 type MLP struct {
 	layers []layer
 	// LearningRate is the SGD step size (default 1e-3 if zero).
 	LearningRate float64
 	// GradClip bounds each gradient component's magnitude; 0 disables.
 	GradClip float64
+
+	// Scratch, built on first use: acts[0] aliases the current input
+	// and acts[i+1] holds layer i's activations; deltas[i] holds the
+	// error at layer i's output during TrainStep.
+	acts   [][]float64
+	deltas [][]float64
 }
 
 // NewMLP builds a network with the given layer widths, e.g.
@@ -98,48 +108,64 @@ func (m *MLP) Widths() []int {
 	return out
 }
 
-// Forward evaluates the network on one input vector.
+// Forward evaluates the network on one input vector. The result is the
+// network's own output buffer: it stays valid until the next Forward or
+// TrainStep on this network, and callers that keep it must copy it.
 func (m *MLP) Forward(x []float64) []float64 {
-	_, acts := m.forward(x)
+	acts := m.forward(x)
 	return acts[len(acts)-1]
 }
 
-// forward returns pre-activations per layer and activations per layer
-// (activations[0] is the input).
-func (m *MLP) forward(x []float64) (zs [][]float64, acts [][]float64) {
-	acts = append(acts, append([]float64(nil), x...))
-	cur := acts[0]
-	for _, l := range m.layers {
-		z := l.w.MulVec(cur)
-		for i := range z {
-			z[i] += l.b[i]
+// forward evaluates the network into its scratch and returns the
+// activations per layer (acts[0] is x itself). Each unit sums its
+// weighted inputs in the same order and expression shape as
+// Matrix.MulVec, then adds its bias, so the result is bit-identical to
+// a MulVec-then-bias evaluation.
+func (m *MLP) forward(x []float64) [][]float64 {
+	if m.acts == nil {
+		m.acts = make([][]float64, len(m.layers)+1)
+		m.deltas = make([][]float64, len(m.layers))
+		for i, l := range m.layers {
+			m.acts[i+1] = make([]float64, l.w.Rows)
+			m.deltas[i] = make([]float64, l.w.Rows)
 		}
-		zs = append(zs, z)
-		a := make([]float64, len(z))
-		for i, v := range z {
-			a[i] = l.act.apply(v)
-		}
-		acts = append(acts, a)
-		cur = a
 	}
-	return zs, acts
+	if len(x) != m.layers[0].w.Cols {
+		panic(fmt.Sprintf("ml: input length %d, network takes %d", len(x), m.layers[0].w.Cols))
+	}
+	m.acts[0] = x
+	for li, l := range m.layers {
+		in, out := m.acts[li], m.acts[li+1]
+		for i := range out {
+			var s float64
+			for j, w := range l.w.Row(i) {
+				s += w * in[j]
+			}
+			s += l.b[i]
+			out[i] = l.act.apply(s)
+		}
+	}
+	return m.acts
 }
 
 // TrainStep performs one backpropagation step toward target on a single
 // example, minimizing ½‖out − target‖². mask, if non-nil, zeroes the
 // error on unmasked outputs — the DQN updates only the taken action's
-// Q-value. Returns the (masked) squared error before the step.
+// Q-value. Returns the (masked) squared error before the step. target
+// must not be this network's own Forward output, which the step's
+// forward pass overwrites.
 func (m *MLP) TrainStep(x, target []float64, mask []bool) float64 {
-	_, acts := m.forward(x)
+	acts := m.forward(x)
 	out := acts[len(acts)-1]
 	if len(target) != len(out) {
 		panic(fmt.Sprintf("ml: target length %d, output %d", len(target), len(out)))
 	}
 	// Output delta.
-	delta := make([]float64, len(out))
+	delta := m.deltas[len(m.deltas)-1]
 	var loss float64
 	for i := range out {
 		if mask != nil && !mask[i] {
+			delta[i] = 0
 			continue
 		}
 		e := out[i] - target[i]
@@ -156,7 +182,8 @@ func (m *MLP) TrainStep(x, target []float64, mask []bool) float64 {
 		in := acts[li]
 		var nextDelta []float64
 		if li > 0 {
-			nextDelta = make([]float64, len(in))
+			nextDelta = m.deltas[li-1]
+			clear(nextDelta)
 		}
 		for i := 0; i < l.w.Rows; i++ {
 			d := delta[i]
@@ -186,7 +213,8 @@ func (m *MLP) TrainStep(x, target []float64, mask []bool) float64 {
 	return loss
 }
 
-// Clone returns a deep copy — used for DQN target networks.
+// Clone returns a deep copy — used for DQN target networks. The copy
+// builds its own scratch on first use and shares none with m.
 func (m *MLP) Clone() *MLP {
 	c := &MLP{LearningRate: m.LearningRate, GradClip: m.GradClip}
 	for _, l := range m.layers {
@@ -200,7 +228,8 @@ func (m *MLP) Clone() *MLP {
 }
 
 // CopyFrom overwrites this network's parameters with src's (same
-// architecture required) — the DQN's periodic target sync.
+// architecture required) — the DQN's periodic target sync. Scratch is
+// left alone: it holds no state between calls.
 func (m *MLP) CopyFrom(src *MLP) {
 	if len(m.layers) != len(src.layers) {
 		panic("ml: CopyFrom architecture mismatch")

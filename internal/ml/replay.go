@@ -45,20 +45,17 @@ func (b *ReplayBuffer) Add(t Transition) {
 // Len returns the number of stored transitions.
 func (b *ReplayBuffer) Len() int { return len(b.buf) }
 
-// Sample draws n transitions uniformly with replacement. It returns
-// fewer (all, in order) if the buffer holds fewer than n.
-func (b *ReplayBuffer) Sample(rng *rand.Rand, n int) []Transition {
-	if len(b.buf) == 0 {
-		return nil
-	}
+// Sample draws n transitions uniformly with replacement and appends
+// them to dst[:0], so a caller that passes its previous minibatch back
+// in samples without allocating. It returns the whole buffer, in
+// order, if the buffer holds n or fewer.
+func (b *ReplayBuffer) Sample(dst []Transition, rng *rand.Rand, n int) []Transition {
+	dst = dst[:0]
 	if len(b.buf) <= n {
-		out := make([]Transition, len(b.buf))
-		copy(out, b.buf)
-		return out
+		return append(dst, b.buf...)
 	}
-	out := make([]Transition, n)
-	for i := range out {
-		out[i] = b.buf[rng.Intn(len(b.buf))]
+	for i := 0; i < n; i++ {
+		dst = append(dst, b.buf[rng.Intn(len(b.buf))])
 	}
-	return out
+	return dst
 }

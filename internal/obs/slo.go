@@ -337,8 +337,8 @@ func (c SLOConfig) Objectives() []Objective {
 			Series: SeriesP99Seconds, Ref: SeriesBaselineP99,
 			Factor: c.P99BandFactor, Target: c.MaxP99BandRatio},
 		{Name: ObjectiveSavingsFloor, Kind: RatioOver,
-			Num: []string{SeriesSavingsCredits},
-			Den: []string{SeriesSpendCredits, SeriesSavingsCredits},
+			Num:    []string{SeriesSavingsCredits},
+			Den:    []string{SeriesSpendCredits, SeriesSavingsCredits},
 			Target: c.MinSavingsShare},
 	}
 }

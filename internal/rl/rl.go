@@ -102,6 +102,10 @@ func DefaultConfig() Config {
 }
 
 // Agent is a DQN over the action.Kind space.
+//
+// An Agent is not safe for concurrent use, not even by concurrent
+// reads such as Q and Rank: it trains and evaluates in scratch buffers
+// it owns and reuses. Each agent is driven by its engine's scheduler.
 type Agent struct {
 	cfg    Config
 	q      *ml.MLP
@@ -109,6 +113,13 @@ type Agent struct {
 	buf    *ml.ReplayBuffer
 	rng    *rand.Rand
 	steps  int
+
+	// Training scratch reused by every step: the minibatch, and the
+	// per-sample targets and mask, which are set at the taken action
+	// only for the duration of its TrainStep.
+	batch   []ml.Transition
+	targets []float64
+	mask    []bool
 }
 
 // NewAgent builds an agent with freshly initialized networks.
@@ -132,22 +143,28 @@ func NewAgent(rng *rand.Rand, cfg Config) *Agent {
 	q.LearningRate = cfg.LearningRate
 	q.GradClip = 1.0
 	return &Agent{
-		cfg:    cfg,
-		q:      q,
-		target: q.Clone(),
-		buf:    ml.NewReplayBuffer(cfg.BufferSize),
-		rng:    rng,
+		cfg:     cfg,
+		q:       q,
+		target:  q.Clone(),
+		buf:     ml.NewReplayBuffer(cfg.BufferSize),
+		rng:     rng,
+		batch:   make([]ml.Transition, 0, cfg.BatchSize),
+		targets: make([]float64, action.NumKinds),
+		mask:    make([]bool, action.NumKinds),
 	}
 }
 
-// Q returns the Q-values for every action in the given state.
-func (a *Agent) Q(state []float64) []float64 { return a.q.Forward(state) }
+// Q returns the Q-values for every action in the given state, as a
+// slice the caller owns.
+func (a *Agent) Q(state []float64) []float64 {
+	return append([]float64(nil), a.q.Forward(state)...)
+}
 
 // Rank returns all action kinds sorted by descending Q-value — the
 // smart model walks this list and applies the best action that passes
 // the cost model and constraint filters.
 func (a *Agent) Rank(state []float64) []action.Kind {
-	qs := a.Q(state)
+	qs := a.q.Forward(state)
 	kinds := action.All()
 	// Insertion sort by Q desc; the action space is tiny.
 	for i := 1; i < len(kinds); i++ {
@@ -198,12 +215,12 @@ func (a *Agent) Observe(tr ml.Transition) float64 {
 // trainStep samples a minibatch and applies one DQN update, returning
 // the mean TD loss.
 func (a *Agent) trainStep() float64 {
-	batch := a.buf.Sample(a.rng, a.cfg.BatchSize)
-	if len(batch) == 0 {
+	a.batch = a.buf.Sample(a.batch, a.rng, a.cfg.BatchSize)
+	if len(a.batch) == 0 {
 		return 0
 	}
 	var total float64
-	for _, tr := range batch {
+	for _, tr := range a.batch {
 		target := tr.Reward
 		if !tr.Terminal {
 			nq := a.target.Forward(tr.NextState)
@@ -228,17 +245,15 @@ func (a *Agent) trainStep() float64 {
 			}
 			target += a.cfg.Gamma * boot
 		}
-		targets := make([]float64, action.NumKinds)
-		mask := make([]bool, action.NumKinds)
-		targets[tr.Action] = target
-		mask[tr.Action] = true
-		total += a.q.TrainStep(tr.State, targets, mask)
+		a.targets[tr.Action], a.mask[tr.Action] = target, true
+		total += a.q.TrainStep(tr.State, a.targets, a.mask)
+		a.targets[tr.Action], a.mask[tr.Action] = 0, false
 	}
 	a.steps++
 	if a.steps%a.cfg.SyncEvery == 0 {
 		a.target.CopyFrom(a.q)
 	}
-	return total / float64(len(batch))
+	return total / float64(len(a.batch))
 }
 
 // Pretrain fills the replay buffer with historical transitions and
