@@ -1,13 +1,9 @@
 package fleet
 
 import (
-	"io"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
-
-	"kwo/internal/obs"
 )
 
 // benchConfig shapes a fleet for machinery benchmarks: one-minute
@@ -90,54 +86,6 @@ func benchProvision(b *testing.B, eager bool) {
 
 func BenchmarkFleetProvision(b *testing.B)      { benchProvision(b, false) }
 func BenchmarkFleetProvisionNaive(b *testing.B) { benchProvision(b, true) }
-
-// scrapeRegs provisions a 1024-tenant fleet once (shared across the
-// scrape benchmarks — provisioning dwarfs the scrape under test) and
-// runs two epochs so every registry carries live series.
-var scrapeOnce sync.Once
-var scrapeRegs []obs.LabeledRegistry
-
-func scrapeFleetRegs(b *testing.B) []obs.LabeledRegistry {
-	scrapeOnce.Do(func() {
-		f, err := New(benchConfig(1024, 2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer f.Close()
-		if _, err := f.Run(); err != nil {
-			b.Fatal(err)
-		}
-		scrapeRegs = f.Registries()
-	})
-	return scrapeRegs
-}
-
-// BenchmarkMergedScrape1024 measures one merged /metrics render across
-// 1024 live tenant registries through the streaming writer; the Naive
-// companion is the pre-streaming renderer that materializes the whole
-// exposition. allocs/op is the headline: streaming stays O(families),
-// naive scales with total series.
-func BenchmarkMergedScrape1024(b *testing.B) {
-	regs := scrapeFleetRegs(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := obs.WriteMergedPrometheus(io.Discard, TenantLabel, regs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMergedScrape1024Naive(b *testing.B) {
-	regs := scrapeFleetRegs(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := obs.WriteMergedPrometheusNaive(io.Discard, TenantLabel, regs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // TestLazyProvisioningMemoryFlat is the tentpole's memory claim as a
 // regression test: provisioning a fleet over a long horizon must NOT

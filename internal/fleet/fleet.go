@@ -120,6 +120,10 @@ type Config struct {
 	eagerProvision bool
 }
 
+// defaultSeriesBudget is the recorded-series point budget a zero
+// Config.SeriesBudget takes.
+const defaultSeriesBudget = 64
+
 // withDefaults returns the config with defaults applied, or an error
 // if it is not runnable.
 func (c Config) withDefaults() (Config, error) {
@@ -168,7 +172,7 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("fleet: SeriesBudget must not be negative, got %d", c.SeriesBudget)
 	}
 	if c.SeriesBudget == 0 {
-		c.SeriesBudget = 64
+		c.SeriesBudget = defaultSeriesBudget
 	}
 	if c.CheckpointEvery < 0 {
 		return c, fmt.Errorf("fleet: CheckpointEvery must not be negative, got %d", c.CheckpointEvery)
@@ -460,7 +464,7 @@ func ReplayTenant(seed int64, cfg Config) (TenantKPI, error) {
 		// Same epoch-boundary sample the in-fleet run takes, so the
 		// replayed tenant's series — and the SLO verdicts evaluated over
 		// them — match the fleet's bit for bit.
-		t.rec.Sample(boundary)
+		t.sample(boundary)
 	}
 	t.finalize()
 	return t.kpi(), nil

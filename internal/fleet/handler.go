@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 
 	"kwo/internal/obs"
 )
@@ -41,75 +39,39 @@ func Handler(f *Fleet) http.Handler {
 		}
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		n := 100
-		if s := r.URL.Query().Get("n"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v <= 0 {
-				http.Error(w, "n must be a positive integer", http.StatusBadRequest)
-				return
-			}
-			n = v
-		}
-		kinds := obs.ParseKindFilter(r.URL.Query().Get("kind"))
-		want := r.URL.Query().Get(TenantLabel)
-		var b strings.Builder
-		found := false
-		for _, t := range f.tenants {
-			if want != "" && t.id != want {
-				continue
-			}
-			found = true
-			for _, ev := range t.hub.Bus.Recent(n) {
-				if !kinds.Match(ev.Kind) {
-					continue
-				}
-				b.WriteString(ev.JSON())
-				b.WriteByte('\n')
-			}
-		}
-		if want != "" && !found {
-			http.Error(w, fmt.Sprintf("unknown tenant %q", want), http.StatusNotFound)
+		n, kinds, ok := obs.EventsQuery(w, r)
+		if !ok {
 			return
 		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		fmt.Fprint(w, b.String())
+		want := r.URL.Query().Get(TenantLabel)
+		if want == "" {
+			buses := make([]*obs.Bus, len(f.tenants))
+			for i, t := range f.tenants {
+				buses[i] = t.hub.Bus
+			}
+			obs.WriteEvents(w, n, kinds, buses...)
+			return
+		}
+		for _, t := range f.tenants {
+			if t.id == want {
+				obs.WriteEvents(w, n, kinds, t.hub.Bus)
+				return
+			}
+		}
+		http.Error(w, fmt.Sprintf("unknown tenant %q", want), http.StatusNotFound)
 	})
 	mux.HandleFunc("/fleet/kpis", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, f.KPIs())
 	})
 	mux.HandleFunc("/fleet/timeseries", func(w http.ResponseWriter, r *http.Request) {
-		want, ok := tenantParam(f, w, r)
-		if !ok {
-			return
+		if rows, ok := tenantParam(f, w, r); ok {
+			writeJSON(w, f.timeSeries(rows))
 		}
-		ts := f.TimeSeries()
-		if want != "" {
-			filtered := ts.PerTenant[:0:0]
-			for _, row := range ts.PerTenant {
-				if row.Tenant == want {
-					filtered = append(filtered, row)
-				}
-			}
-			ts.PerTenant = filtered
-		}
-		writeJSON(w, ts)
 	})
 	mux.HandleFunc("/fleet/slo", func(w http.ResponseWriter, r *http.Request) {
-		want, ok := tenantParam(f, w, r)
-		if !ok {
-			return
+		if rows, ok := tenantParam(f, w, r); ok {
+			writeJSON(w, f.sloStatus(rows))
 		}
-		slo := f.SLOStatus()
-		if want != "" {
-			filtered := slo.PerTenant[:0:0]
-			for _, row := range slo.PerTenant {
-				if row.Tenant == want {
-					filtered = append(filtered, row)
-				}
-			}
-			slo.PerTenant = filtered
-		}
-		writeJSON(w, slo)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -125,28 +87,29 @@ func Handler(f *Fleet) http.Handler {
 	return mux
 }
 
-// tenantParam validates an optional ?tenant= query against the fleet's
-// labels, mirroring /events' treatment of ?n=: a malformed value (not a
-// tNN label) or a label outside the fleet answers 400 with a usable
-// message instead of silently returning an unfiltered payload. The
-// second result is false when a response was already written.
-func tenantParam(f *Fleet, w http.ResponseWriter, r *http.Request) (string, bool) {
+// tenantParam resolves an optional ?tenant= query to the payload rows
+// it selects: every tenant without one, that tenant's alone with one.
+// Like /events' treatment of ?n=, a malformed value (not a tNN label)
+// or a label outside the fleet answers 400 with a usable message
+// instead of silently returning an unfiltered payload. The second
+// result is false when a response was already written.
+func tenantParam(f *Fleet, w http.ResponseWriter, r *http.Request) ([]*tenant, bool) {
 	q := r.URL.Query()
 	if !q.Has(TenantLabel) {
-		return "", true
+		return f.tenants, true
 	}
 	want := q.Get(TenantLabel)
 	if !validTenantLabel(want) {
 		http.Error(w, fmt.Sprintf("tenant must be a tNN label, got %q", want), http.StatusBadRequest)
-		return "", false
+		return nil, false
 	}
-	for _, t := range f.tenants {
+	for i, t := range f.tenants {
 		if t.id == want {
-			return want, true
+			return f.tenants[i : i+1], true
 		}
 	}
 	http.Error(w, fmt.Sprintf("unknown tenant %q", want), http.StatusBadRequest)
-	return "", false
+	return nil, false
 }
 
 // validTenantLabel reports whether s has the shape of a tenant label:

@@ -27,14 +27,13 @@ import (
 // (which appends to per-tenant and fleet series) against endpoint
 // reads, so the plane is safe to scrape while the fleet advances.
 type obsPlane struct {
-	mu         sync.Mutex
-	specs      []obs.SampleSpec
-	objectives []obs.Objective
-	budget     int
-	fleet      []*obs.Series
-	epoch      int
-	now        time.Time
-	done       bool
+	mu     sync.Mutex
+	specs  []obs.SampleSpec
+	budget int
+	fleet  []*obs.Series
+	epoch  int
+	now    time.Time
+	done   bool
 
 	// The alert plane. The tracker is the deterministic part — it runs
 	// on the simulation clock, so a checkpoint replay rebuilds its log.
@@ -49,12 +48,11 @@ type obsPlane struct {
 
 func newObsPlane(cfg Config, start time.Time) *obsPlane {
 	p := &obsPlane{
-		specs:      obs.FleetSpecs(),
-		objectives: cfg.SLO.Objectives(),
-		budget:     cfg.SeriesBudget,
-		now:        start,
-		tracker:    obs.NewAlertTracker(),
-		sink:       cfg.AlertSink,
+		specs:   obs.FleetSpecs(),
+		budget:  cfg.SeriesBudget,
+		now:     start,
+		tracker: obs.NewAlertTracker(),
+		sink:    cfg.AlertSink,
 	}
 	p.fleet = make([]*obs.Series, len(p.specs))
 	for i, sp := range p.specs {
@@ -75,13 +73,13 @@ func (p *obsPlane) deliver(a obs.Alert) {
 	}
 }
 
-// record takes the epoch-boundary sample: every tenant's recorder in
-// index order (each tenant appends to its own series and returns the
-// raw per-spec values), then the cross-tenant aggregate under each
-// spec's CrossAgg into the fleet series. Sequential by design — the
-// sample is a pure reduction over already-advanced tenants, cheap next
-// to an epoch of simulation, and a fixed order keeps float accumulation
-// deterministic.
+// record takes the epoch-boundary sample: every tenant's in index order
+// (each tenant appends to its own series, re-evaluates its objectives
+// and returns the raw per-spec values), then the cross-tenant aggregate
+// under each spec's CrossAgg into the fleet series. Sequential by
+// design — the sample is a pure reduction over already-advanced
+// tenants, cheap next to an epoch of simulation, and a fixed order
+// keeps float accumulation deterministic.
 func (p *obsPlane) record(t time.Time, epoch int, tenants []*tenant) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -99,7 +97,7 @@ func (p *obsPlane) record(t time.Time, epoch int, tenants []*tenant) {
 			}
 			continue
 		}
-		vals := tn.rec.Sample(t)
+		vals := tn.sample(t)
 		for i, v := range vals {
 			switch p.specs[i].CrossAgg {
 			case obs.AggMax:
@@ -122,16 +120,15 @@ func (p *obsPlane) record(t time.Time, epoch int, tenants []*tenant) {
 		}
 		s.Append(t, v)
 	}
-	// SLO burn alerting: evaluate each active tenant's objectives over
-	// its freshly-sampled series and let the tracker dedupe transitions.
-	// Sequential in index order under the plane lock, so alert sequence
-	// numbers are deterministic for any worker count.
+	// SLO burn alerting: the tracker dedupes transitions in each active
+	// tenant's freshly stored verdicts. Sequential in index order under
+	// the plane lock, so alert sequence numbers are deterministic for
+	// any worker count.
 	for _, tn := range tenants {
 		if tn.quarantined() {
 			continue
 		}
-		verdicts := obs.Evaluate(p.objectives, tn.rec.Series)
-		for _, a := range p.tracker.Observe(t, epoch, tn.id, verdicts) {
+		for _, a := range p.tracker.Observe(t, epoch, tn.id, tn.slo) {
 			p.deliver(a)
 		}
 	}
@@ -259,10 +256,9 @@ func (f *Fleet) KPIs() LiveKPIs {
 		out.Fleet[s.Name()] = s.Last()
 	}
 	for _, t := range f.tenants {
-		// A quarantined tenant's series are frozen at its quarantine
-		// epoch, so evaluating over them reports its last-known state.
-		verdicts := obs.Evaluate(p.objectives, t.rec.Series)
-		failed := obs.FailedObjectives(verdicts)
+		// A quarantined tenant's verdicts stay those of its last sample,
+		// before the quarantine epoch: its last-known state.
+		failed := obs.FailedObjectives(t.slo)
 		row := TenantLive{
 			Tenant:    t.id,
 			Index:     t.idx,
@@ -270,7 +266,7 @@ func (f *Fleet) KPIs() LiveKPIs {
 			Profile:   t.prof.String(),
 			Last:      make(map[string]float64, len(p.specs)),
 			SLOPass:   len(failed) == 0,
-			WorstBurn: obs.WorstBurn(verdicts),
+			WorstBurn: obs.WorstBurn(t.slo),
 			Failed:    failed,
 			Replay:    replayCommand(f.cfg, t.idx, t.seed),
 		}
@@ -292,7 +288,11 @@ func (f *Fleet) KPIs() LiveKPIs {
 }
 
 // TimeSeries builds the /fleet/timeseries payload.
-func (f *Fleet) TimeSeries() FleetTimeSeries {
+func (f *Fleet) TimeSeries() FleetTimeSeries { return f.timeSeries(f.tenants) }
+
+// timeSeries builds the /fleet/timeseries payload with per-tenant series
+// for rows only: every tenant, or one for a drill-down.
+func (f *Fleet) timeSeries(rows []*tenant) FleetTimeSeries {
 	p := f.plane
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -305,40 +305,32 @@ func (f *Fleet) TimeSeries() FleetTimeSeries {
 	for i, s := range p.fleet {
 		out.Fleet[i] = s.Dump()
 	}
-	for _, t := range f.tenants {
+	for _, t := range rows {
 		out.PerTenant = append(out.PerTenant, TenantSeries{Tenant: t.id, Series: t.rec.Dump()})
 	}
 	return out
 }
 
-// SLOStatus builds the /fleet/slo payload, evaluating every tenant's
-// objectives over its recorded series as of the last epoch boundary.
-func (f *Fleet) SLOStatus() SLOStatus {
+// SLOStatus builds the /fleet/slo payload from the verdicts every
+// tenant stored on the last epoch boundary.
+func (f *Fleet) SLOStatus() SLOStatus { return f.sloStatus(f.tenants) }
+
+// sloStatus builds the /fleet/slo payload with per-tenant rows for rows
+// only: every tenant, or one for a drill-down. The fleet-wide counts
+// always cover every tenant.
+func (f *Fleet) sloStatus(rows []*tenant) SLOStatus {
 	p := f.plane
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := SLOStatus{
-		Config:             f.cfg.SLO,
-		Objectives:         p.objectives,
+		Config: f.cfg.SLO,
+		// Every tenant evaluates the same objectives, built from Config.
+		Objectives:         f.tenants[0].objs,
 		FailingByObjective: make(map[string]int),
 	}
 	for _, t := range f.tenants {
-		verdicts := obs.Evaluate(p.objectives, t.rec.Series)
-		failed := obs.FailedObjectives(verdicts)
-		row := TenantSLO{
-			Tenant:    t.id,
-			Pass:      len(failed) == 0,
-			WorstBurn: obs.WorstBurn(verdicts),
-			Verdicts:  verdicts,
-			Replay:    replayCommand(f.cfg, t.idx, t.seed),
-		}
-		if t.quarantined() {
-			row.Quarantined = true
-			row.QuarantineEpoch = t.qEpoch
-			row.QuarantineReason = t.qReason
-			out.Quarantined++
-		}
-		if row.Pass {
+		failed := obs.FailedObjectives(t.slo)
+		if len(failed) == 0 {
 			out.Passing++
 		} else {
 			out.Failing++
@@ -346,8 +338,25 @@ func (f *Fleet) SLOStatus() SLOStatus {
 		for _, name := range failed {
 			out.FailingByObjective[name]++
 		}
-		if row.WorstBurn > out.WorstBurn {
-			out.WorstBurn = row.WorstBurn
+		if b := obs.WorstBurn(t.slo); b > out.WorstBurn {
+			out.WorstBurn = b
+		}
+		if t.quarantined() {
+			out.Quarantined++
+		}
+	}
+	for _, t := range rows {
+		row := TenantSLO{
+			Tenant:    t.id,
+			Pass:      len(obs.FailedObjectives(t.slo)) == 0,
+			WorstBurn: obs.WorstBurn(t.slo),
+			Verdicts:  t.slo,
+			Replay:    replayCommand(f.cfg, t.idx, t.seed),
+		}
+		if t.quarantined() {
+			row.Quarantined = true
+			row.QuarantineEpoch = t.qEpoch
+			row.QuarantineReason = t.qReason
 		}
 		out.PerTenant = append(out.PerTenant, row)
 	}
@@ -392,7 +401,8 @@ func (f *Fleet) Alerts() []obs.Alert {
 // replayCommand renders the kwo-fleet invocation that replays one
 // tenant standalone, byte-identical to its in-fleet run — the portal's
 // drill-down link from a fleet SLO breach to a reproducible single
-// simulation.
+// simulation. Each optional flag appears only when its value differs
+// from the default.
 func replayCommand(cfg Config, idx int, seed int64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "kwo-fleet -epochs %d -epoch-len %s -attach-epoch %d",
@@ -402,6 +412,27 @@ func replayCommand(cfg Config, idx int, seed int64) string {
 	}
 	if len(cfg.Backends) > 0 {
 		fmt.Fprintf(&b, " -backends %s", strings.Join(cfg.Backends, ","))
+	}
+	// The SLO thresholds, as kwo-fleet's -slo key=value pairs.
+	def := obs.SLOConfig{}.WithDefaults()
+	sep := " -slo "
+	for _, kv := range []struct {
+		key       string
+		val, dflt float64
+	}{
+		{"enforcement-sla", cfg.SLO.MaxAbandonRatio, def.MaxAbandonRatio},
+		{"degraded-time", cfg.SLO.MaxDegradedRatio, def.MaxDegradedRatio},
+		{"p99-factor", cfg.SLO.P99BandFactor, def.P99BandFactor},
+		{"p99-ratio", cfg.SLO.MaxP99BandRatio, def.MaxP99BandRatio},
+		{"savings-floor", cfg.SLO.MinSavingsShare, def.MinSavingsShare},
+	} {
+		if kv.val != kv.dflt {
+			fmt.Fprintf(&b, "%s%s=%s", sep, kv.key, strconv.FormatFloat(kv.val, 'g', -1, 64))
+			sep = ","
+		}
+	}
+	if cfg.SeriesBudget != defaultSeriesBudget {
+		fmt.Fprintf(&b, " -series-budget %d", cfg.SeriesBudget)
 	}
 	fmt.Fprintf(&b, " -tenant %d -tenant-seed %d", idx, seed)
 	return b.String()

@@ -3,10 +3,16 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"kwo/internal/obs"
 )
@@ -70,30 +76,177 @@ func TestObsPlaneDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestReplaySLOMatchesFleet extends the replay contract to the SLO
-// layer: a tenant replayed standalone under its derived seed must carry
-// the exact verdicts (value, target, burn, pass) it earned in-fleet —
-// the portal's drill-down from a fleet SLO breach to a reproducible
-// single run depends on this.
+// layer: a tenant replayed standalone under the flags its drill-down
+// command names must carry the exact verdicts (value, target, burn,
+// pass) it earned in-fleet — the portal's drill-down from a fleet SLO
+// breach to a reproducible single run depends on this. The second
+// config moves the SLO thresholds and the series budget off their
+// defaults, so the command must carry them too.
 func TestReplaySLOMatchesFleet(t *testing.T) {
-	cfg := testConfig(8, 4)
-	rep := runFleet(t, cfg)
-	for _, idx := range []int{0, 5} {
-		in := rep.PerTenant[idx]
-		got, err := ReplayTenant(TenantSeed(cfg.Seed, idx), cfg)
+	custom := testConfig(8, 4)
+	custom.SLO = obs.SLOConfig{MaxDegradedRatio: 0.01, P99BandFactor: 2}
+	custom.SeriesBudget = 4
+	for _, cfg := range []Config{testConfig(8, 4), custom} {
+		f, err := New(cfg)
 		if err != nil {
-			t.Fatalf("ReplayTenant(%d): %v", idx, err)
+			t.Fatal(err)
 		}
-		if got.SLOPass != in.SLOPass || got.SLOWorstBurn != in.SLOWorstBurn {
-			t.Errorf("tenant %d replay SLO pass=%t burn=%g != in-fleet pass=%t burn=%g",
-				idx, got.SLOPass, got.SLOWorstBurn, in.SLOPass, in.SLOWorstBurn)
+		if _, err := f.Run(); err != nil {
+			t.Fatal(err)
 		}
-		inJSON, _ := json.Marshal(in.SLO)
-		gotJSON, _ := json.Marshal(got.SLO)
-		if !bytes.Equal(inJSON, gotJSON) {
-			t.Errorf("tenant %d replay verdicts diverged:\n in-fleet: %s\n replay:   %s",
-				idx, inJSON, gotJSON)
+		slo := f.SLOStatus()
+		f.Close()
+		for _, idx := range []int{0, 5} {
+			in := slo.PerTenant[idx]
+			rcfg, seed := replayConfig(t, in.Replay, Config{Opts: cfg.Opts})
+			got, err := ReplayTenant(seed, rcfg)
+			if err != nil {
+				t.Fatalf("ReplayTenant(%q): %v", in.Replay, err)
+			}
+			if got.SLOPass != in.Pass || got.SLOWorstBurn != in.WorstBurn {
+				t.Errorf("tenant %d replay SLO pass=%t burn=%g != in-fleet pass=%t burn=%g",
+					idx, got.SLOPass, got.SLOWorstBurn, in.Pass, in.WorstBurn)
+			}
+			inJSON, _ := json.Marshal(in.Verdicts)
+			gotJSON, _ := json.Marshal(got.SLO)
+			if !bytes.Equal(inJSON, gotJSON) {
+				t.Errorf("tenant %d replayed by %q: verdicts diverged:\n in-fleet: %s\n replay:   %s",
+					idx, in.Replay, inJSON, gotJSON)
+			}
 		}
 	}
+}
+
+// replayConfig parses a drill-down command with kwo-fleet's flag
+// grammar over base, which supplies what no flag carries (Opts), and
+// returns the config and the tenant seed it replays.
+func replayConfig(t *testing.T, cmd string, base Config) (Config, int64) {
+	t.Helper()
+	args := strings.Fields(cmd)
+	if len(args) == 0 || args[0] != "kwo-fleet" {
+		t.Fatalf("replay command %q does not run kwo-fleet", cmd)
+	}
+	cfg := base
+	fs := flag.NewFlagSet("kwo-fleet", flag.ContinueOnError)
+	fs.IntVar(&cfg.Epochs, "epochs", 48, "")
+	fs.DurationVar(&cfg.EpochLen, "epoch-len", time.Hour, "")
+	fs.IntVar(&cfg.AttachEpoch, "attach-epoch", 0, "")
+	fs.Float64Var(&cfg.FaultRate, "fault-rate", 0, "")
+	backends := fs.String("backends", "", "")
+	slo := fs.String("slo", "", "")
+	fs.IntVar(&cfg.SeriesBudget, "series-budget", 0, "")
+	fs.Int("tenant", -1, "")
+	seed := fs.Int64("tenant-seed", 0, "")
+	if err := fs.Parse(args[1:]); err != nil || fs.NArg() > 0 {
+		t.Fatalf("replay command %q: %v (left over %q)", cmd, err, fs.Args())
+	}
+	if *backends != "" {
+		cfg.Backends = strings.Split(*backends, ",")
+	}
+	for _, pair := range strings.Split(*slo, ",") {
+		if pair == "" {
+			continue
+		}
+		key, val, _ := strings.Cut(pair, "=")
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("replay command %q: -slo %q: %v", cmd, pair, err)
+		}
+		field := map[string]*float64{
+			"enforcement-sla": &cfg.SLO.MaxAbandonRatio,
+			"degraded-time":   &cfg.SLO.MaxDegradedRatio,
+			"p99-factor":      &cfg.SLO.P99BandFactor,
+			"p99-ratio":       &cfg.SLO.MaxP99BandRatio,
+			"savings-floor":   &cfg.SLO.MinSavingsShare,
+		}[key]
+		if field == nil {
+			t.Fatalf("replay command %q: unknown -slo key %q", cmd, key)
+		}
+		*field = v
+	}
+	return cfg, *seed
+}
+
+// TestReadPathsMatchOracles walks a fault-injected fleet with a
+// panic-quarantined tenant through every epoch boundary — before epoch
+// 1, across the quarantine, after finish, and again after a resume
+// from a mid-run checkpoint — and holds the read side to its oracles at
+// each: every tenant's stored verdicts equal a fresh obs.Evaluate over
+// its series, and every ?tenant= drill-down body equals the full body
+// with per_tenant cut to that row, byte for byte.
+func TestReadPathsMatchOracles(t *testing.T) {
+	cfg := testConfig(4, 2)
+	cfg.Epochs = 8
+	cfg.FaultRate = 0.5
+	cfg.PanicTenants = []int{1}
+	cfg.PanicEpoch = 3
+	cfg.CheckpointDir = t.TempDir()
+	cfg.CheckpointEvery = 4
+
+	check := func(f *Fleet, at string) {
+		t.Helper()
+		for _, tn := range f.tenants {
+			if fresh := obs.Evaluate(tn.objs, tn.rec.Series); !slices.Equal(tn.slo, fresh) {
+				t.Errorf("%s: tenant %s stored verdicts %+v, fresh evaluation %+v", at, tn.id, tn.slo, fresh)
+			}
+		}
+		h := Handler(f)
+		for i, tn := range f.tenants {
+			ts, slo := f.TimeSeries(), f.SLOStatus()
+			ts.PerTenant, slo.PerTenant = ts.PerTenant[i:i+1], slo.PerTenant[i:i+1]
+			for path, cut := range map[string]any{"/fleet/timeseries": ts, "/fleet/slo": slo} {
+				want := httptest.NewRecorder()
+				writeJSON(want, cut)
+				got := httptest.NewRecorder()
+				h.ServeHTTP(got, httptest.NewRequest("GET", path+"?tenant="+tn.id, nil))
+				if got.Code != 200 || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+					t.Errorf("%s: %s?tenant=%s (status %d) differs from the full body cut to its row:\n got: %s\nwant: %s",
+						at, path, tn.id, got.Code, got.Body, want.Body)
+				}
+			}
+		}
+	}
+	walk := func(f *Fleet, from string) {
+		t.Helper()
+		check(f, from)
+		for f.Epoch() < cfg.Epochs {
+			// A payload read before the barrier keeps its verdicts: the
+			// barrier replaces each tenant's stored slice, never
+			// rewrites it under a reader.
+			held := f.SLOStatus()
+			before, _ := json.Marshal(held)
+			if err := f.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			if after, _ := json.Marshal(held); !bytes.Equal(after, before) {
+				t.Errorf("%s: epoch %d rewrote verdicts a payload read before it holds", from, f.Epoch())
+			}
+			check(f, fmt.Sprintf("%s, epoch %d", from, f.Epoch()))
+		}
+		f.finish()
+		check(f, from+", after finish")
+	}
+
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	walk(f, "fresh")
+	if !f.tenants[1].quarantined() {
+		t.Fatal("the panic probe did not quarantine t01")
+	}
+
+	cp, err := LoadCheckpoint(filepath.Join(cfg.CheckpointDir, checkpointFileName(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Resume(cp, resumeBase(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	walk(r, "resumed at epoch 4")
 }
 
 // TestHandlerFleetEndpoints checks the three /fleet/* endpoints decode

@@ -119,9 +119,9 @@ func TestEpochDeadlineQuarantine(t *testing.T) {
 	}
 }
 
-// TestQuarantineFrozenSLOStable: a quarantined tenant's frozen series
-// keep evaluating to the same verdicts on every scrape, its KPI row
-// stays the frozen one, and repeated payload reads are byte-identical.
+// TestQuarantineFrozenSLOStable: a quarantined tenant keeps serving
+// the same verdicts on every scrape, its KPI row stays the frozen one,
+// and repeated payload reads are byte-identical.
 func TestQuarantineFrozenSLOStable(t *testing.T) {
 	cfg := testConfig(3, 2)
 	cfg.PanicTenants = []int{0}
@@ -157,8 +157,8 @@ func TestQuarantineFrozenSLOStable(t *testing.T) {
 	if !row.Quarantined || row.QuarantineEpoch != 3 {
 		t.Fatalf("t00 SLO row = %+v, want quarantined at epoch 3", row)
 	}
-	// Objectives still evaluate over the frozen rings — a quarantined
-	// tenant keeps its verdicts, it does not vanish from the SLO board.
+	// A quarantined tenant keeps the verdicts of its frozen rings; it
+	// does not vanish from the SLO board.
 	if len(row.Verdicts) != len(slo.Objectives) {
 		t.Fatalf("frozen tenant has %d verdicts, want %d", len(row.Verdicts), len(slo.Objectives))
 	}

@@ -299,6 +299,7 @@ func newTenant(idx int, id string, seed int64, cfg Config) *tenant {
 		t.hub.SLOBurn.With(o.Name)
 		t.hub.SLOPass.With(o.Name)
 	}
+	t.evaluate()
 
 	t.start = t.sched.Now()
 	horizon := time.Duration(cfg.Epochs) * cfg.EpochLen
@@ -446,22 +447,32 @@ func (t *tenant) provisionTo(target time.Time) {
 	}
 }
 
-// finalize stops the optimizer loops after the last epoch, evaluates
-// the tenant's SLO objectives over its recorded series, and mirrors the
-// verdicts onto the hub gauges. Evaluation is per-tenant pure
-// arithmetic, so running it inside the finalize fan-out is safe and the
-// standalone replay produces identical verdicts.
+// sample takes the tenant's epoch-boundary sample: the recorder
+// appends one point per series, returning the raw per-spec values, and
+// the objectives are re-evaluated over the updated series.
+func (t *tenant) sample(at time.Time) []float64 {
+	vals := t.rec.Sample(at)
+	t.evaluate()
+	return vals
+}
+
+// evaluate stores the tenant's SLO verdicts over its recorded series.
+// Series change only on an epoch-boundary sample, so the stored slice
+// is what every read path serves — KPI rows, /fleet/slo, the alert
+// tracker, the finalize gauges — until the next sample replaces it.
+// It is replaced, never mutated: KPI rows, frozen quarantine rows
+// among them, keep pointing at the slice they were built from.
+func (t *tenant) evaluate() {
+	t.slo = obs.Evaluate(t.objs, t.rec.Series)
+}
+
+// finalize stops the optimizer loops after the last epoch and mirrors
+// the stored verdicts onto the hub gauges.
 func (t *tenant) finalize() {
 	if t.eng != nil {
 		t.eng.Stop()
 	}
-	t.slo = t.evalSLO()
 	obs.PublishSLO(t.hub, t.slo)
-}
-
-// evalSLO evaluates the tenant's objectives over its recorded series.
-func (t *tenant) evalSLO() []obs.Verdict {
-	return obs.Evaluate(t.objs, t.rec.Series)
 }
 
 // kpi rolls the tenant's run up into one report row. A quarantined
@@ -513,10 +524,6 @@ func (t *tenant) kpiNow() TenantKPI {
 	k.ActionsApplied = t.eng.Actuator().AppliedCount()
 	k.Invoices = len(t.eng.Ledger().Invoices())
 	k.SLO = t.slo
-	if k.SLO == nil {
-		// kpi before finalize (mid-run scrape paths): evaluate live.
-		k.SLO = t.evalSLO()
-	}
 	k.SLOFailed = obs.FailedObjectives(k.SLO)
 	k.SLOPass = len(k.SLOFailed) == 0
 	k.SLOWorstBurn = obs.WorstBurn(k.SLO)

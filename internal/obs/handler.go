@@ -36,6 +36,39 @@ func (f KindFilter) Match(k EventKind) bool {
 	return f.kinds == nil || f.kinds[k]
 }
 
+// EventsQuery parses an /events request: ?n= (a positive integer,
+// default 100) and the ?kind= filter. A malformed ?n= is answered with
+// 400 and ok is false.
+func EventsQuery(w http.ResponseWriter, r *http.Request) (n int, kinds KindFilter, ok bool) {
+	q := r.URL.Query()
+	n = 100
+	if s := q.Get("n"); s != "" {
+		v, err := strconv.Atoi(s)
+		if err != nil || v <= 0 {
+			http.Error(w, "n must be a positive integer", http.StatusBadRequest)
+			return 0, KindFilter{}, false
+		}
+		n = v
+	}
+	return n, ParseKindFilter(q.Get("kind")), true
+}
+
+// WriteEvents writes an /events body: bus after bus, its n most recent
+// events that kinds admits, oldest first, one JSON object per line.
+func WriteEvents(w http.ResponseWriter, n int, kinds KindFilter, buses ...*Bus) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	var b strings.Builder
+	for _, bus := range buses {
+		for _, ev := range bus.Recent(n) {
+			if kinds.Match(ev.Kind) {
+				ev.appendJSON(&b)
+				b.WriteByte('\n')
+			}
+		}
+	}
+	fmt.Fprint(w, b.String())
+}
+
 // Handler serves the ops surface for a hub:
 //
 //	/metrics        Prometheus text exposition of the registry
@@ -56,26 +89,9 @@ func Handler(h *Hub) http.Handler {
 		}
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		n := 100
-		if s := r.URL.Query().Get("n"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v <= 0 {
-				http.Error(w, "n must be a positive integer", http.StatusBadRequest)
-				return
-			}
-			n = v
+		if n, kinds, ok := EventsQuery(w, r); ok {
+			WriteEvents(w, n, kinds, h.Bus)
 		}
-		kinds := ParseKindFilter(r.URL.Query().Get("kind"))
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		var b strings.Builder
-		for _, ev := range h.Bus.Recent(n) {
-			if !kinds.Match(ev.Kind) {
-				continue
-			}
-			ev.appendJSON(&b)
-			b.WriteByte('\n')
-		}
-		fmt.Fprint(w, b.String())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")

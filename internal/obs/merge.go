@@ -6,7 +6,6 @@ import (
 	"io"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -163,8 +162,8 @@ func (s *mergeScratch) snapshotFamily(r *Registry, n string) bool {
 
 // renderFamily renders the snapshotted family into s.buf with
 // extraName="extraValue" prepended to every sample's label set,
-// byte-identical to writeFamilySeries. No locks are held; every number
-// is appended through the scratch, so rendering itself is
+// byte-identical to the naive oracle in the tests. No locks are held;
+// every number is appended through the scratch, so rendering itself is
 // allocation-free.
 func (s *mergeScratch) renderFamily(extraName, extraValue string) {
 	b := &s.buf
@@ -272,60 +271,4 @@ func appendQuotedLabel(b *bytes.Buffer, v string) {
 	b.WriteByte('"')
 	b.WriteString(v)
 	b.WriteByte('"')
-}
-
-// WriteMergedPrometheusNaive is the pre-streaming implementation: it
-// renders every registry's families into one in-memory string while
-// holding each registry lock, O(total series) peak. Kept as the
-// reference for the byte-identity test and the *Naive* benchmark
-// companion.
-func WriteMergedPrometheusNaive(w io.Writer, labelName string, regs []LabeledRegistry) error {
-	type meta struct {
-		help   string
-		typ    MetricType
-		labels []string
-	}
-	metas := make(map[string]meta)
-	names := make([]string, 0)
-	for _, lr := range regs {
-		r := lr.Registry
-		if r == nil {
-			continue
-		}
-		r.mu.Lock()
-		for n, f := range r.families {
-			m, ok := metas[n]
-			if !ok {
-				metas[n] = meta{help: f.help, typ: f.typ, labels: f.labels}
-				names = append(names, n)
-				continue
-			}
-			if m.typ != f.typ || !slices.Equal(m.labels, f.labels) {
-				r.mu.Unlock()
-				return fmt.Errorf("obs: family %q disagrees across registries (type %v/%v, labels %v/%v)",
-					n, m.typ, f.typ, m.labels, f.labels)
-			}
-		}
-		r.mu.Unlock()
-	}
-	slices.Sort(names)
-	var b strings.Builder
-	for _, n := range names {
-		m := metas[n]
-		fmt.Fprintf(&b, "# HELP %s %s\n", n, escapeHelp(m.help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", n, m.typ)
-		for _, lr := range regs {
-			r := lr.Registry
-			if r == nil {
-				continue
-			}
-			r.mu.Lock()
-			if f, ok := r.families[n]; ok {
-				writeFamilySeries(&b, f, labelName, lr.Label)
-			}
-			r.mu.Unlock()
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }

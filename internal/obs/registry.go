@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -358,66 +357,13 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition
-// format (version 0.0.4). Families and series are sorted so output is
-// deterministic for a given registry state.
+// format (version 0.0.4): the merged renderer over this one registry
+// with no extra label. Families and series are sorted, so output is
+// deterministic for a given registry state. Each family is snapshotted
+// under its own short lock, so a scrape concurrent with updates may
+// read different families at different instants.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		f := r.families[n]
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		writeFamilySeries(&b, f, "", "")
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// writeFamilySeries renders every series of f in sorted key order.
-// When extraName is non-empty, the pair extraName="extraValue" is
-// prepended to every sample's label set — the merged multi-tenant
-// exposition uses it to keep per-tenant series apart. The caller must
-// hold the owning registry's lock.
-func writeFamilySeries(b *strings.Builder, f *family, extraName, extraValue string) {
-	names := f.labels
-	if extraName != "" {
-		names = append([]string{extraName}, f.labels...)
-	}
-	keys := append([]string(nil), f.order...)
-	sort.Strings(keys)
-	for _, k := range keys {
-		s := f.series[k]
-		values := s.labelValues
-		if extraName != "" {
-			values = append([]string{extraValue}, s.labelValues...)
-		}
-		switch f.typ {
-		case TypeHistogram:
-			var cum uint64
-			for i, ub := range f.buckets {
-				cum += s.counts[i]
-				fmt.Fprintf(b, "%s_bucket{%s} %d\n", f.name,
-					labelPairs(names, values, "le", formatFloat(ub)), cum)
-			}
-			cum += s.counts[len(f.buckets)]
-			fmt.Fprintf(b, "%s_bucket{%s} %d\n", f.name,
-				labelPairs(names, values, "le", "+Inf"), cum)
-			fmt.Fprintf(b, "%s_sum%s %s\n", f.name, labelBlock(names, values), formatFloat(s.sum))
-			fmt.Fprintf(b, "%s_count%s %d\n", f.name, labelBlock(names, values), s.count)
-		default:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, labelBlock(names, values), formatFloat(s.val))
-		}
-	}
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return WriteMergedPrometheus(w, "", []LabeledRegistry{{Registry: r}})
 }
 
 func escapeHelp(s string) string {
@@ -429,37 +375,4 @@ func escapeLabel(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, `"`, `\"`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// labelPairs renders name="value" pairs plus one extra pair (for le).
-func labelPairs(names, values []string, extraName, extraValue string) string {
-	var b strings.Builder
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", n, escapeLabel(values[i]))
-	}
-	if len(names) > 0 {
-		b.WriteByte(',')
-	}
-	fmt.Fprintf(&b, "%s=%q", extraName, extraValue)
-	return b.String()
-}
-
-// labelBlock renders {name="value",...} or "" when unlabeled.
-func labelBlock(names, values []string) string {
-	if len(names) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", n, escapeLabel(values[i]))
-	}
-	b.WriteByte('}')
-	return b.String()
 }
