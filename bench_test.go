@@ -14,6 +14,7 @@ package kwo_test
 // additionally exercises the substrate's hot paths.
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -21,6 +22,7 @@ import (
 
 	"kwo"
 	"kwo/internal/cdw"
+	"kwo/internal/core"
 	"kwo/internal/costmodel"
 	"kwo/internal/experiments"
 	"kwo/internal/ml"
@@ -215,6 +217,42 @@ func BenchmarkCostModelTrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		costmodel.Train(log, cfg, simclock.Epoch, end, 8)
+	}
+}
+
+// BenchmarkOfflineTransitions measures building one retrain's offline
+// RL dataset (Algorithm 1's model-based replay): every 10-minute
+// window of the history, times every action, priced by the cost
+// model's PredictImpact. The warehouse is the benchmark's
+// warehouse-optimize one: Large, 1–2 clusters, 10-minute auto-suspend,
+// BI dashboards at a 300 queries/h weekday peak.
+func BenchmarkOfflineTransitions(b *testing.B) {
+	for _, days := range []int{7, 30} {
+		b.Run(fmt.Sprintf("%dd", days), func(b *testing.B) {
+			sched := simclock.NewScheduler(1)
+			acct := cdw.NewAccount(sched, cdw.DefaultSimParams())
+			store := telemetry.NewStore()
+			acct.Subscribe(store)
+			cfg := cdw.Config{Name: "W", Size: cdw.SizeLarge, MinClusters: 1, MaxClusters: 2,
+				Policy: cdw.ScaleStandard, AutoSuspend: 10 * time.Minute, AutoResume: true}
+			acct.CreateWarehouse(cfg)
+			pool, _, _ := workload.StandardPools()
+			gen := workload.BI{Pool: pool, PeakQPH: 300, WeekendFactor: 0.2}
+			end := simclock.Epoch.Add(time.Duration(days) * 24 * time.Hour)
+			workload.Drive(sched, acct, "W", gen.Generate(simclock.Epoch, end, sched.Rand("wl")))
+			sched.RunUntil(end.Add(time.Hour))
+			log := store.Log("W")
+			opts := core.DefaultOptions()
+			model := costmodel.Train(log, cfg, simclock.Epoch, end, acct.Params().MaxConcurrency)
+			tuning := core.DefaultSettings().Slider.Tuning()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var n int
+			for i := 0; i < b.N; i++ {
+				n = len(core.OfflineTransitions(log, model, cfg, simclock.Epoch, end, opts.DecideEvery, tuning))
+			}
+			b.ReportMetric(float64(n), "transitions/op")
+		})
 	}
 }
 

@@ -110,6 +110,15 @@ func TestGapModel(t *testing.T) {
 	if FitGaps([]float64{-5, 5}).N() != 1 {
 		t.Fatal("negative gap not filtered")
 	}
+	// So are NaN gaps, which would otherwise sort first and poison the
+	// mean and every prefix sum.
+	g = FitGaps([]float64{5, math.NaN(), 1})
+	if g.N() != 2 || g.Mean() != 3 {
+		t.Fatalf("with a NaN gap: N = %d, mean = %v; want 2, 3", g.N(), g.Mean())
+	}
+	if got := g.IdleBilledPerGap(2 * time.Second); got != 1.5 {
+		t.Fatalf("with a NaN gap: idle billed = %v, want 1.5", got)
+	}
 	if FitGaps(nil).IdleBilledPerGap(time.Minute) != 0 {
 		t.Fatal("empty gap model billed idle")
 	}

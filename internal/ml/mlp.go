@@ -117,10 +117,7 @@ func (m *MLP) Forward(x []float64) []float64 {
 }
 
 // forward evaluates the network into its scratch and returns the
-// activations per layer (acts[0] is x itself). Each unit sums its
-// weighted inputs in the same order and expression shape as
-// Matrix.MulVec, then adds its bias, so the result is bit-identical to
-// a MulVec-then-bias evaluation.
+// activations per layer (acts[0] is x itself).
 func (m *MLP) forward(x []float64) [][]float64 {
 	if m.acts == nil {
 		m.acts = make([][]float64, len(m.layers)+1)
@@ -134,18 +131,54 @@ func (m *MLP) forward(x []float64) [][]float64 {
 		panic(fmt.Sprintf("ml: input length %d, network takes %d", len(x), m.layers[0].w.Cols))
 	}
 	m.acts[0] = x
-	for li, l := range m.layers {
-		in, out := m.acts[li], m.acts[li+1]
-		for i := range out {
-			var s float64
-			for j, w := range l.w.Row(i) {
-				s += w * in[j]
-			}
-			s += l.b[i]
-			out[i] = l.act.apply(s)
-		}
+	for li := range m.layers {
+		m.layers[li].eval(m.acts[li], m.acts[li+1])
 	}
 	return m.acts
+}
+
+// eval writes the layer's activations on input in to out, four units
+// per sweep over in. Each of the four keeps its own accumulator, so
+// their chains of dependent adds overlap instead of running one after
+// another. Every unit still sums w*in[j] from j = 0 and then adds its
+// bias, the order and expression shape of Matrix.MulVec, so the result
+// is bit-identical to evaluating one unit at a time. The last
+// len(out)%4 units run one at a time.
+func (l *layer) eval(in, out []float64) {
+	n := len(in)
+	w, b := l.w.Data, l.b
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		r0 := w[i*n:][:n]
+		r1 := w[(i+1)*n:][:n]
+		r2 := w[(i+2)*n:][:n]
+		r3 := w[(i+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for j, x := range in {
+			s0 += r0[j] * x
+			s1 += r1[j] * x
+			s2 += r2[j] * x
+			s3 += r3[j] * x
+		}
+		bi, oi := b[i:i+4], out[i:i+4]
+		s0 += bi[0]
+		s1 += bi[1]
+		s2 += bi[2]
+		s3 += bi[3]
+		oi[0] = l.act.apply(s0)
+		oi[1] = l.act.apply(s1)
+		oi[2] = l.act.apply(s2)
+		oi[3] = l.act.apply(s3)
+	}
+	for ; i < len(out); i++ {
+		r := w[i*n:][:n]
+		var s float64
+		for j, x := range in {
+			s += r[j] * x
+		}
+		s += b[i]
+		out[i] = l.act.apply(s)
+	}
 }
 
 // TrainStep performs one backpropagation step toward target on a single
