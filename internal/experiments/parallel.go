@@ -1,16 +1,12 @@
 package experiments
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "runtime"
 
 // MaxWorkers bounds the fan-out of RunIndexed. Zero or negative means
 // one worker per CPU. It is read when a fan-out starts; set it before
 // launching experiments, not concurrently with them. Code that needs a
-// per-call pool size (several fan-outs alive in one process) should
-// pass it explicitly via RunIndexedN instead of mutating this knob.
+// pool size of its own (several fan-outs alive in one process) should
+// own a Pool instead of mutating this knob.
 var MaxWorkers int
 
 func workerCount(n int) int {
@@ -34,51 +30,17 @@ func workerCount(n int) int {
 // identical whether the pool has one worker or many — parallelism
 // changes wall-clock time, never output.
 //
-// The pool size comes from the package-level MaxWorkers knob. Callers
-// that host several independent simulations in one process (the fleet
-// runner) should use RunIndexedN instead: it takes the worker count as
-// an argument, so two concurrent fan-outs can never alias through
-// package state.
+// Each call runs on a Pool of its own, sized from the package-level
+// MaxWorkers knob and closed on return. Nested calls (kwo-bench fans
+// out experiments, and each experiment fans out its arms) therefore
+// never wait on one another's workers.
 func RunIndexed[T any](n int, fn func(int) T) []T {
-	return RunIndexedN(n, workerCount(n), fn)
-}
-
-// RunIndexedN is RunIndexed with an explicit worker count: workers <= 0
-// means one worker per CPU. It reads no package-level state, so
-// concurrent fan-outs with different pool sizes cannot interfere.
-func RunIndexedN[T any](n, workers int, fn func(int) T) []T {
 	if n <= 0 {
 		return nil
 	}
 	out := make([]T, n)
-	w := workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	p := NewPool(workerCount(n))
+	defer p.Close()
+	p.Run(n, func(i int) { out[i] = fn(i) })
 	return out
 }

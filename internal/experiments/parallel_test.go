@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestRunIndexedOrderAndCompleteness(t *testing.T) {
@@ -26,40 +25,6 @@ func TestRunIndexedOrderAndCompleteness(t *testing.T) {
 	}
 	if got := RunIndexed(0, func(i int) int { return i }); got != nil {
 		t.Fatalf("n=0: got %v, want nil", got)
-	}
-}
-
-// RunIndexedN must honour its explicit worker argument and ignore the
-// package-level MaxWorkers knob entirely — that is its whole point: two
-// concurrent fan-outs in one process must not alias through package
-// state.
-func TestRunIndexedNIgnoresMaxWorkers(t *testing.T) {
-	old := MaxWorkers
-	defer func() { MaxWorkers = old }()
-	MaxWorkers = 1 // would serialize RunIndexed; RunIndexedN must not care
-	var inFlight atomic.Int64
-	release := make(chan struct{})
-	var once sync.Once
-	got := RunIndexedN(8, 4, func(i int) int {
-		// Every task blocks until a second task is observed in flight —
-		// deadlock-free only if RunIndexedN really runs 4 workers despite
-		// MaxWorkers = 1.
-		if inFlight.Add(1) >= 2 {
-			once.Do(func() { close(release) })
-		}
-		select {
-		case <-release:
-		case <-time.After(10 * time.Second):
-			t.Error("no concurrent task within 10s: MaxWorkers leaked into RunIndexedN")
-			once.Do(func() { close(release) })
-		}
-		inFlight.Add(-1)
-		return i * 3
-	})
-	for i, v := range got {
-		if v != i*3 {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*3)
-		}
 	}
 }
 

@@ -6,19 +6,18 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent bounded worker pool for index fan-outs: the same
-// contract as RunIndexedN — fn(0), …, fn(n-1) evaluated across at most
-// Workers() goroutines, results deterministic because each index writes
-// only its own slot — but the goroutines are created once and reused
-// across rounds instead of being respawned per call. A fleet running
-// thousands of lock-step epochs pays the spawn cost once, keeps worker
-// stacks warm, and lets callers pin per-worker scratch to the worker
-// index RunWorkers exposes.
+// Pool is a persistent bounded worker pool for index fan-outs: fn(0),
+// …, fn(n-1) evaluated across at most Workers() goroutines, results
+// deterministic because each index writes only its own slot. The
+// goroutines are created once and reused across rounds, so a fleet
+// running thousands of lock-step epochs pays the spawn cost once, keeps
+// worker stacks warm, and can pin per-worker scratch to the worker
+// index RunWorkers exposes. RunIndexed is a Pool that lives for one
+// round.
 //
 // A Pool is owned by a single driving goroutine: Run, RunWorkers and
 // Close must not be called concurrently with each other. The fn
-// callbacks themselves run concurrently on the workers, exactly as with
-// RunIndexedN.
+// callbacks themselves run concurrently on the workers.
 type Pool struct {
 	workers int
 	rounds  []chan *poolRound

@@ -157,13 +157,16 @@ func BenchmarkPoolRound(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolRoundNaive is the pre-pool path: RunIndexedN spawns a
-// fresh set of 8 goroutines for every round.
+// BenchmarkPoolRoundNaive is the spawn-per-round path: RunIndexed
+// starts and closes a fresh pool of 8 goroutines for every round.
 func BenchmarkPoolRoundNaive(b *testing.B) {
+	old := MaxWorkers
+	defer func() { MaxWorkers = old }()
+	MaxWorkers = 8
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunIndexedN(256, 8, func(i int) struct{} {
+		RunIndexed(256, func(i int) struct{} {
 			benchFn(i)
 			return struct{}{}
 		})

@@ -8,15 +8,13 @@ import (
 
 // benchConfig shapes a fleet for machinery benchmarks: one-minute
 // epochs keep per-epoch simulation work small, so the numbers weight
-// the fan-out/provisioning overhead the tentpole targets rather than
-// optimizer math.
+// the fan-out and provisioning overhead rather than optimizer math.
 func benchConfig(tenants, epochs int) Config {
 	return Config{
 		Tenants: tenants,
 		Seed:    7,
 		// Pinned (not per-CPU): on a single-core runner workers=0 would
-		// collapse both fan-out paths to inline execution and the
-		// pool-vs-respawn comparison would measure nothing.
+		// collapse the fan-out to inline execution.
 		Workers:     8,
 		Epochs:      epochs,
 		EpochLen:    time.Minute,
@@ -27,10 +25,8 @@ func benchConfig(tenants, epochs int) Config {
 
 // benchFleetEpoch measures steady-state RunEpoch cost at a given fleet
 // width, after the fleet is provisioned and the optimizers attached.
-func benchFleetEpoch(b *testing.B, tenants int, respawn bool) {
-	cfg := benchConfig(tenants, b.N+2)
-	cfg.respawnPool = respawn
-	f, err := New(cfg)
+func benchFleetEpoch(b *testing.B, tenants int) {
+	f, err := New(benchConfig(tenants, b.N+2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,22 +45,14 @@ func benchFleetEpoch(b *testing.B, tenants int, respawn bool) {
 	}
 }
 
-func BenchmarkFleetEpoch16(b *testing.B)   { benchFleetEpoch(b, 16, false) }
-func BenchmarkFleetEpoch256(b *testing.B)  { benchFleetEpoch(b, 256, false) }
-func BenchmarkFleetEpoch1024(b *testing.B) { benchFleetEpoch(b, 1024, false) }
+func BenchmarkFleetEpoch16(b *testing.B)   { benchFleetEpoch(b, 16) }
+func BenchmarkFleetEpoch256(b *testing.B)  { benchFleetEpoch(b, 256) }
+func BenchmarkFleetEpoch1024(b *testing.B) { benchFleetEpoch(b, 1024) }
 
-// *Naive* companions run the identical fleet through the
-// pre-optimization fan-out: a fresh goroutine spawn per epoch instead
-// of the persistent pool. The delta is what the pool buys.
-func BenchmarkFleetEpochNaive16(b *testing.B)   { benchFleetEpoch(b, 16, true) }
-func BenchmarkFleetEpochNaive256(b *testing.B)  { benchFleetEpoch(b, 256, true) }
-func BenchmarkFleetEpochNaive1024(b *testing.B) { benchFleetEpoch(b, 1024, true) }
-
-// benchProvision measures New — tenant provisioning — for a 64-tenant
-// fleet over a month of hourly epochs. Lazy provisioning defers the
-// arrival stream, so this is engine/profile setup; the Naive companion
-// pays whole-horizon generation up front.
-func benchProvision(b *testing.B, eager bool) {
+// BenchmarkFleetProvision measures New — tenant provisioning — for a
+// 64-tenant fleet over a month of hourly epochs. Lazy provisioning
+// defers the arrival stream, so this is engine/profile setup.
+func BenchmarkFleetProvision(b *testing.B) {
 	cfg := Config{
 		Tenants:  64,
 		Seed:     7,
@@ -72,7 +60,6 @@ func benchProvision(b *testing.B, eager bool) {
 		EpochLen: time.Hour,
 		Opts:     lightOpts(),
 	}
-	cfg.eagerProvision = eager
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -84,14 +71,11 @@ func benchProvision(b *testing.B, eager bool) {
 	}
 }
 
-func BenchmarkFleetProvision(b *testing.B)      { benchProvision(b, false) }
-func BenchmarkFleetProvisionNaive(b *testing.B) { benchProvision(b, true) }
-
-// TestLazyProvisioningMemoryFlat is the tentpole's memory claim as a
-// regression test: provisioning a fleet over a long horizon must NOT
-// materialize the horizon's arrivals. Heap growth from a lazy New is
-// required to be well under the eager path's, which holds a month of
-// arrival structs per tenant.
+// TestLazyProvisioningMemoryFlat: provisioning must not materialize
+// the horizon's arrivals, so the heap New leaves behind does not grow
+// with the horizon. A month of hourly epochs may hold at most 1.5× what
+// a day holds; a whole-horizon Generate per tenant holds about five
+// times as much.
 func TestLazyProvisioningMemoryFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -99,20 +83,18 @@ func TestLazyProvisioningMemoryFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews heap accounting")
 	}
-	cfg := Config{
-		Tenants:  16,
-		Seed:     7,
-		Epochs:   720,
-		EpochLen: time.Hour,
-		Opts:     lightOpts(),
-	}
-	heapAfterNew := func(eager bool) uint64 {
-		c := cfg
-		c.eagerProvision = eager
+	heapAfterNew := func(epochs int) uint64 {
+		cfg := Config{
+			Tenants:  16,
+			Seed:     7,
+			Epochs:   epochs,
+			EpochLen: time.Hour,
+			Opts:     lightOpts(),
+		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		f, err := New(c)
+		f, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,11 +107,11 @@ func TestLazyProvisioningMemoryFlat(t *testing.T) {
 		}
 		return after.HeapAlloc - before.HeapAlloc
 	}
-	lazy := heapAfterNew(false)
-	eager := heapAfterNew(true)
-	if lazy*2 > eager {
-		t.Errorf("lazy provisioning holds %d bytes, eager %d — lazy should be well under half (arrival horizon not deferred?)",
-			lazy, eager)
+	day := heapAfterNew(24)
+	month := heapAfterNew(720)
+	if month*2 > day*3 {
+		t.Errorf("heap after New: %d bytes for 720 epochs, %d for 24 — more than 1.5× (arrival horizon not deferred?)",
+			month, day)
 	}
-	t.Logf("heap after New: lazy=%d eager=%d", lazy, eager)
+	t.Logf("heap after New: 24 epochs=%d 720 epochs=%d", day, month)
 }

@@ -108,16 +108,6 @@ type Config struct {
 	// Params are the simulated CDW physical constants; the zero value
 	// means cdw.DefaultSimParams().
 	Params cdw.SimParams
-
-	// respawnPool reverts fan-out to experiments.RunIndexedN — a fresh
-	// set of goroutines per epoch instead of the fleet's persistent
-	// pool. Unexported: only the in-package *Naive* benchmarks set it,
-	// to measure what the persistent pool buys.
-	respawnPool bool
-	// eagerProvision reverts workload provisioning to one whole-horizon
-	// Generate+Drive per tenant at New time, instead of lazy per-epoch
-	// cursor chunks. Unexported, benchmark-only, as above.
-	eagerProvision bool
 }
 
 // defaultSeriesBudget is the recorded-series point budget a zero
@@ -250,27 +240,12 @@ func New(cfg Config) (*Fleet, error) {
 	// Provisioning fans out through the same bounded pool as epochs:
 	// building 64 tenants' engines and first-epoch arrival chunks is
 	// the most expensive single step of a short run.
-	f.fanout(cfg.Tenants, func(i int) {
+	f.pool.Run(cfg.Tenants, func(i int) {
 		f.tenants[i] = newTenant(i, ids[i], TenantSeed(cfg.Seed, i), cfg)
 	})
 	f.start = f.tenants[0].start
 	f.plane = newObsPlane(cfg, f.start)
 	return f, nil
-}
-
-// fanout runs fn(i) for i in [0, n) across the fleet's persistent
-// worker pool (or, under the benchmark-only respawnPool knob, a fresh
-// RunIndexedN spawn). Tenants are independent, so any schedule is
-// correct; results land by index, so output never depends on timing.
-func (f *Fleet) fanout(n int, fn func(i int)) {
-	if f.cfg.respawnPool {
-		experiments.RunIndexedN(n, f.cfg.Workers, func(i int) struct{} {
-			fn(i)
-			return struct{}{}
-		})
-		return
-	}
-	f.pool.Run(n, fn)
 }
 
 // Close releases the fleet's worker pool goroutines. Idempotent — a
@@ -324,7 +299,7 @@ func (f *Fleet) RunEpoch() error {
 	}
 	epochNo := f.epoch + 1
 	target := f.start.Add(time.Duration(epochNo) * f.cfg.EpochLen)
-	f.fanout(len(f.tenants), func(i int) {
+	f.pool.Run(len(f.tenants), func(i int) {
 		f.stepTenant(f.tenants[i], epochNo, target)
 	})
 	f.epoch = epochNo
@@ -410,7 +385,7 @@ func (f *Fleet) finish() {
 		return
 	}
 	f.done = true
-	f.fanout(len(f.tenants), func(i int) {
+	f.pool.Run(len(f.tenants), func(i int) {
 		// A quarantined tenant is never touched again — its KPI row
 		// was frozen at the quarantine epoch.
 		if !f.tenants[i].quarantined() {
@@ -427,7 +402,7 @@ func (f *Fleet) finish() {
 // deterministic regardless of which worker finished when.
 func (f *Fleet) report() *Report {
 	kpis := make([]TenantKPI, len(f.tenants))
-	f.fanout(len(f.tenants), func(i int) {
+	f.pool.Run(len(f.tenants), func(i int) {
 		kpis[i] = f.tenants[i].kpi()
 	})
 	return rollup(f.cfg, kpis)

@@ -234,7 +234,7 @@ type tenant struct {
 	start      time.Time
 	attachAt   time.Time
 	horizonEnd time.Time
-	cursor     workload.Cursor // nil once the stream is exhausted (or when eager)
+	cursor     workload.Cursor // nil once the stream is exhausted
 	scheduled  int
 	attachErr  error
 	wdraws     *countingSource // workload RNG stream position
@@ -331,10 +331,8 @@ func newTenant(idx int, id string, seed int64, cfg Config) *tenant {
 	// The workload stream is pulled chunk-by-chunk from a cursor as
 	// epochs advance (see provisionTo) instead of materializing the
 	// whole horizon here: resident arrivals stay O(epoch) per tenant.
-	// The cursor consumes the identical seeded RNG stream a
-	// whole-horizon Generate call would, so the query sequence — and
-	// every downstream fingerprint — is unchanged (the eagerProvision
-	// knob keeps the old path alive for benchmarks to prove it).
+	// The chunks concatenate to exactly the arrivals of a whole-horizon
+	// Generate on the same seeded stream (workload.Cursor's contract).
 	gen := t.prof.generator()
 	t.horizonEnd = t.start.Add(horizon)
 	// The workload source is wrapped to count draws — the checkpointed
@@ -342,12 +340,7 @@ func newTenant(idx int, id string, seed int64, cfg Config) *tenant {
 	// so the stream is bit-identical to the plain Rand derivation.
 	t.wdraws = &countingSource{src: rand.NewSource(t.sched.SeedFor("fleet:workload:" + gen.Name())).(rand.Source64)}
 	wrng := rand.New(t.wdraws)
-	if cfg.eagerProvision {
-		arr := gen.Generate(t.start, t.horizonEnd, wrng)
-		t.scheduled, _ = workload.Drive(t.sched, t.acct, warehouseName, arr)
-	} else {
-		t.cursor = workload.NewCursor(gen, t.start, t.horizonEnd, wrng)
-	}
+	t.cursor = workload.NewCursor(gen, t.start, t.horizonEnd, wrng)
 
 	opts := cfg.Opts
 	opts.Obs = t.hub
@@ -432,9 +425,8 @@ func (t *tenant) advanceTo(target time.Time) {
 // tenant's workload cursor. Every arrival in the chunk is at or after
 // the tenant's current time (the cursor's chunk-containment contract),
 // so nothing is dropped; on the final epoch the cursor also flushes
-// jitter overflow past the horizon, keeping the scheduled count equal
-// to the eager path's (those trailing events are scheduled but never
-// run, exactly as before).
+// jitter overflow past the horizon (those trailing events are
+// scheduled but never run).
 func (t *tenant) provisionTo(target time.Time) {
 	if t.cursor == nil {
 		return

@@ -18,7 +18,9 @@ type Arrival struct {
 
 // Generator produces a deterministic arrival stream for a time range.
 type Generator interface {
-	// Generate returns arrivals in [from, to), sorted by time.
+	// Generate returns the arrivals for [from, to), sorted by time.
+	// Work that starts inside the range may arrive past to: ETL jitter
+	// can push a batch's jobs beyond it, and they are included.
 	Generate(from, to time.Time, rng *rand.Rand) []Arrival
 	// Name identifies the generator in experiment output.
 	Name() string
@@ -59,38 +61,9 @@ type ETL struct {
 // Name implements Generator.
 func (e ETL) Name() string { return "etl" }
 
-// Generate implements Generator.
+// Generate implements Generator by draining Stream in one chunk.
 func (e ETL) Generate(from, to time.Time, rng *rand.Rand) []Arrival {
-	var out []Arrival
-	seq := uint64(0)
-	period := e.Period
-	if period <= 0 {
-		period = time.Hour
-	}
-	users := e.Users
-	if len(users) == 0 {
-		users = []string{"etl-service"}
-	}
-	// Align the first batch to the period grid.
-	start := from.Truncate(period)
-	for batch := start; batch.Before(to); batch = batch.Add(period) {
-		at := batch.Add(e.Offset)
-		if at.Before(from) || !at.Before(to) {
-			continue
-		}
-		for j := 0; j < e.JobsPerBatch; j++ {
-			tpl := e.Pool.Templates[j%e.Pool.Len()] // fixed rotation: recurring jobs
-			seq++
-			q := tpl.Instantiate(rng, seq, UserHash(users[j%len(users)]))
-			jitter := time.Duration(0)
-			if e.Jitter > 0 {
-				jitter = time.Duration(rng.Int63n(int64(e.Jitter)))
-			}
-			out = append(out, Arrival{At: at.Add(jitter), Query: q})
-		}
-	}
-	sortArrivals(out)
-	return out
+	return e.Stream(from, to, rng).Next(to)
 }
 
 // ---------------------------------------------------------------------
@@ -132,37 +105,9 @@ func (b BI) rate(t time.Time) float64 {
 
 func sq(x float64) float64 { return x * x }
 
-// Generate implements Generator: a non-homogeneous Poisson process via
-// thinning against the peak rate.
+// Generate implements Generator by draining Stream in one chunk.
 func (b BI) Generate(from, to time.Time, rng *rand.Rand) []Arrival {
-	var out []Arrival
-	maxRate := b.PeakQPH * 1.8 // upper bound of the two-bump curve
-	if maxRate <= 0 {
-		return nil
-	}
-	users := b.Users
-	if len(users) == 0 {
-		users = []string{"analyst-1", "analyst-2", "analyst-3"}
-	}
-	seq := uint64(0)
-	t := from
-	for {
-		// Exponential gap at the bounding rate.
-		gapHours := rng.ExpFloat64() / maxRate
-		t = t.Add(time.Duration(gapHours * float64(time.Hour)))
-		if !t.Before(to) {
-			break
-		}
-		if rng.Float64()*maxRate > b.rate(t) {
-			continue // thinned
-		}
-		tpl := b.Pool.Draw(rng)
-		seq++
-		q := tpl.Instantiate(rng, seq, UserHash(users[rng.Intn(len(users))]))
-		out = append(out, Arrival{At: t, Query: q})
-	}
-	sortArrivals(out)
-	return out
+	return b.Stream(from, to, rng).Next(to)
 }
 
 // ---------------------------------------------------------------------
@@ -202,86 +147,9 @@ type burst struct {
 	end   time.Time
 }
 
-// Generate implements Generator.
+// Generate implements Generator by draining Stream in one chunk.
 func (a AdHoc) Generate(from, to time.Time, rng *rand.Rand) []Arrival {
-	users := a.Users
-	if len(users) == 0 {
-		users = []string{"scientist-1", "scientist-2"}
-	}
-	// Pre-draw per-day multipliers and burst windows so the rate
-	// function is well-defined for thinning.
-	days := int(to.Sub(from).Hours()/24) + 2
-	dayMult := make([]float64, days)
-	var bursts []burst
-	for d := 0; d < days; d++ {
-		dayMult[d] = 1.0
-		if a.DayVariance > 0 {
-			dayMult[d] = lognormal(rng, 1.0, a.DayVariance)
-		}
-		dayStart := from.Add(time.Duration(d) * 24 * time.Hour)
-		nBursts := poisson(rng, a.BurstsPerDay)
-		for i := 0; i < nBursts; i++ {
-			bs := dayStart.Add(time.Duration(rng.Int63n(int64(24 * time.Hour))))
-			blen := a.BurstLen
-			if blen <= 0 {
-				blen = 15 * time.Minute
-			}
-			blen = time.Duration(float64(blen) * (0.5 + rng.Float64()))
-			bursts = append(bursts, burst{start: bs, end: bs.Add(blen)})
-		}
-	}
-	rate := func(t time.Time) float64 {
-		d := int(t.Sub(from).Hours() / 24)
-		if d < 0 || d >= days {
-			return 0
-		}
-		r := a.BaseQPH * dayMult[d]
-		// Mild diurnal shape: active 7:00–23:00.
-		h := t.Hour()
-		if h < 7 {
-			r *= 0.1
-		}
-		for _, b := range bursts {
-			if !t.Before(b.start) && t.Before(b.end) {
-				r += a.BurstQPH
-			}
-		}
-		if a.MonthEndFactor > 1 {
-			y, m, _ := t.Date()
-			lastDay := time.Date(y, m+1, 1, 0, 0, 0, 0, t.Location()).Add(-24 * time.Hour).Day()
-			if t.Day() >= lastDay-1 {
-				r *= a.MonthEndFactor
-			}
-		}
-		return r
-	}
-	maxRate := a.BaseQPH*8 + a.BurstQPH*3 // generous bound for thinning
-	if a.MonthEndFactor > 1 {
-		maxRate *= a.MonthEndFactor
-	}
-	var out []Arrival
-	seq := uint64(0)
-	t := from
-	for {
-		gapHours := rng.ExpFloat64() / maxRate
-		t = t.Add(time.Duration(gapHours * float64(time.Hour)))
-		if !t.Before(to) {
-			break
-		}
-		r := rate(t)
-		if r > maxRate {
-			r = maxRate
-		}
-		if rng.Float64()*maxRate > r {
-			continue
-		}
-		tpl := a.Pool.Draw(rng)
-		seq++
-		q := tpl.Instantiate(rng, seq, UserHash(users[rng.Intn(len(users))]))
-		out = append(out, Arrival{At: t, Query: q})
-	}
-	sortArrivals(out)
-	return out
+	return a.Stream(from, to, rng).Next(to)
 }
 
 // poisson draws a Poisson variate with the given mean (Knuth's method;
@@ -320,17 +188,9 @@ func (m Mixed) Name() string {
 	return "mixed"
 }
 
-// Generate implements Generator.
+// Generate implements Generator by draining Stream in one chunk.
 func (m Mixed) Generate(from, to time.Time, rng *rand.Rand) []Arrival {
-	var out []Arrival
-	for i, g := range m.Parts {
-		// Derive an independent stream per part for stability under
-		// reordering of parts.
-		sub := rand.New(rand.NewSource(rng.Int63() + int64(i)))
-		out = append(out, g.Generate(from, to, sub)...)
-	}
-	sortArrivals(out)
-	return out
+	return m.Stream(from, to, rng).Next(to)
 }
 
 // Stall injects a clump of long-running queries at one instant — far

@@ -6,16 +6,15 @@ import (
 )
 
 // Cursor generates an arrival stream incrementally. Successive Next
-// calls with strictly increasing upTo values partition the stream the
-// owning Generator would have produced in one whole-horizon Generate
-// call: Next(upTo) returns (sorted) exactly the arrivals with At in
+// calls with strictly increasing upTo values partition the stream:
+// Next(upTo) returns (sorted) exactly the arrivals with At in
 // [prevUpTo, upTo), and the final call — any upTo at or past the
 // cursor's horizon end — also flushes arrivals a generator emitted past
-// the horizon (ETL jitter can push a job past `to`; whole-horizon
-// Generate includes it, so the cursor must too). Concatenating every
-// chunk reproduces the Generate output element for element, on the
-// identical random stream — the property test in stream_test.go pins
-// this for every generator.
+// the horizon (ETL jitter can push a job past `to`). A streaming
+// generator's Generate is that final call made alone, so concatenating
+// the chunks of any plan reproduces Generate element for element, on
+// the identical random stream; TestCursorMatchesGenerate pins both
+// against the whole-horizon loops kept in naive_test.go.
 //
 // The point is memory: a fleet tenant holds O(one epoch) of pending
 // arrivals instead of materializing (and scheduling) a whole month up
@@ -67,10 +66,10 @@ func (c *sliceCursor) Next(upTo time.Time) []Arrival {
 // ---------------------------------------------------------------------
 // ETL
 
-// Stream implements Streamer. The cursor walks the same period grid in
-// the same order as Generate, drawing from rng identically; jobs whose
-// jitter lands past the chunk boundary wait in a small pending buffer
-// until the chunk containing their arrival time.
+// Stream implements Streamer. A batch runs when its pre-jitter start is
+// inside [from, to); jobs whose jitter lands past the chunk boundary
+// wait in a small pending buffer until the chunk containing their
+// arrival time, and the final chunk flushes those past `to`.
 func (e ETL) Stream(from, to time.Time, rng *rand.Rand) Cursor {
 	period := e.Period
 	if period <= 0 {
@@ -113,7 +112,7 @@ func (c *etlCursor) Next(upTo time.Time) []Arrival {
 	for ; c.batch.Before(c.to); c.batch = c.batch.Add(c.period) {
 		at := c.batch.Add(c.e.Offset)
 		if at.Before(c.from) || !at.Before(c.to) {
-			continue // outside the horizon: Generate draws nothing here
+			continue // outside the horizon: no draws here
 		}
 		if !at.Before(upTo) {
 			break // future chunk; its draws happen on a later Next
@@ -138,86 +137,23 @@ func (c *etlCursor) Next(upTo time.Time) []Arrival {
 	return out
 }
 
-// Name/Generate equivalence note: the batch inclusion test above uses
-// the pre-jitter time `at`, exactly as Generate does, so the set of
-// batches (and therefore the rng draw sequence) is identical.
-
 // ---------------------------------------------------------------------
-// BI
+// BI and AdHoc: thinned Poisson arrivals
 
-// Stream implements Streamer: the thinned Poisson loop of Generate,
-// paused at chunk boundaries with (rng, t, seq) carried across calls.
+// Stream implements Streamer: a non-homogeneous Poisson process via
+// thinning against the peak of the two-bump curve.
 func (b BI) Stream(from, to time.Time, rng *rand.Rand) Cursor {
-	c := &biCursor{b: b, to: to, rng: rng, t: from, maxRate: b.PeakQPH * 1.8}
-	if c.maxRate <= 0 {
-		c.done = true
+	users := b.Users
+	if len(users) == 0 {
+		users = []string{"analyst-1", "analyst-2", "analyst-3"}
 	}
-	c.users = b.Users
-	if len(c.users) == 0 {
-		c.users = []string{"analyst-1", "analyst-2", "analyst-3"}
-	}
-	return c
+	return newThinningCursor(b.Pool, users, b.rate, b.PeakQPH*1.8, from, to, rng)
 }
-
-type biCursor struct {
-	b       BI
-	to      time.Time
-	rng     *rand.Rand
-	users   []string
-	maxRate float64
-
-	t    time.Time
-	seq  uint64
-	pend Arrival
-	have bool
-	done bool
-}
-
-func (c *biCursor) Next(upTo time.Time) []Arrival {
-	final := !upTo.Before(c.to)
-	var out []Arrival
-	if c.have {
-		if !final && !c.pend.At.Before(upTo) {
-			return nil // chunk ends before the buffered arrival
-		}
-		out = append(out, c.pend)
-		c.have = false
-	}
-	for !c.done {
-		if !final && !c.t.Before(upTo) {
-			break // stream has reached this chunk's end
-		}
-		gapHours := c.rng.ExpFloat64() / c.maxRate
-		c.t = c.t.Add(time.Duration(gapHours * float64(time.Hour)))
-		if !c.t.Before(c.to) {
-			c.done = true
-			break
-		}
-		if c.rng.Float64()*c.maxRate > c.b.rate(c.t) {
-			continue // thinned
-		}
-		tpl := c.b.Pool.Draw(c.rng)
-		c.seq++
-		q := tpl.Instantiate(c.rng, c.seq, UserHash(c.users[c.rng.Intn(len(c.users))]))
-		a := Arrival{At: c.t, Query: q}
-		if final || a.At.Before(upTo) {
-			out = append(out, a)
-		} else {
-			c.pend, c.have = a, true
-			break
-		}
-	}
-	sortArrivals(out)
-	return out
-}
-
-// ---------------------------------------------------------------------
-// AdHoc
 
 // Stream implements Streamer. The per-day multipliers and burst windows
-// are pre-drawn at cursor creation in exactly Generate's order (they
-// are O(days) scalars, not arrivals — the memory the cursor avoids is
-// the arrival slice); the thinning loop then streams chunk by chunk.
+// are drawn up front so the rate function is well-defined for thinning;
+// they are O(days) scalars, not arrivals, so the cursor still holds
+// O(chunk) arrivals.
 func (a AdHoc) Stream(from, to time.Time, rng *rand.Rand) Cursor {
 	users := a.Users
 	if len(users) == 0 {
@@ -243,24 +179,51 @@ func (a AdHoc) Stream(from, to time.Time, rng *rand.Rand) Cursor {
 			bursts = append(bursts, burst{start: bs, end: bs.Add(blen)})
 		}
 	}
+	rate := func(t time.Time) float64 {
+		d := int(t.Sub(from).Hours() / 24)
+		if d < 0 || d >= days {
+			return 0
+		}
+		r := a.BaseQPH * dayMult[d]
+		// Mild diurnal shape: active 7:00–23:00.
+		if t.Hour() < 7 {
+			r *= 0.1
+		}
+		for _, b := range bursts {
+			if !t.Before(b.start) && t.Before(b.end) {
+				r += a.BurstQPH
+			}
+		}
+		if a.MonthEndFactor > 1 {
+			y, m, _ := t.Date()
+			lastDay := time.Date(y, m+1, 1, 0, 0, 0, 0, t.Location()).Add(-24 * time.Hour).Day()
+			if t.Day() >= lastDay-1 {
+				r *= a.MonthEndFactor
+			}
+		}
+		return r
+	}
+	// A generous bound, not a strict one: a heavy day's multiplier can
+	// lift the rate past it, and then every candidate is kept.
 	maxRate := a.BaseQPH*8 + a.BurstQPH*3
 	if a.MonthEndFactor > 1 {
 		maxRate *= a.MonthEndFactor
 	}
-	return &adhocCursor{a: a, from: from, to: to, rng: rng, users: users,
-		days: days, dayMult: dayMult, bursts: bursts, maxRate: maxRate, t: from}
+	return newThinningCursor(a.Pool, users, rate, maxRate, from, to, rng)
 }
 
-type adhocCursor struct {
-	a        AdHoc
-	from, to time.Time
-	rng      *rand.Rand
-	users    []string
-
-	days    int
-	dayMult []float64
-	bursts  []burst
+// thinningCursor streams a non-homogeneous Poisson process by thinning:
+// candidates arrive at the bounding rate maxRate, and each is kept with
+// probability rate(t)/maxRate. A kept candidate then draws its template
+// and its user, in that order. Next pauses the loop at chunk boundaries
+// with (rng, t, seq) carried across calls.
+type thinningCursor struct {
+	pool    *Pool
+	users   []string
+	rate    func(time.Time) float64
 	maxRate float64
+	to      time.Time
+	rng     *rand.Rand
 
 	t    time.Time
 	seq  uint64
@@ -269,47 +232,27 @@ type adhocCursor struct {
 	done bool
 }
 
-// rate mirrors the rate closure inside AdHoc.Generate.
-func (c *adhocCursor) rate(t time.Time) float64 {
-	d := int(t.Sub(c.from).Hours() / 24)
-	if d < 0 || d >= c.days {
-		return 0
-	}
-	r := c.a.BaseQPH * c.dayMult[d]
-	if t.Hour() < 7 {
-		r *= 0.1
-	}
-	for _, b := range c.bursts {
-		if !t.Before(b.start) && t.Before(b.end) {
-			r += c.a.BurstQPH
-		}
-	}
-	if c.a.MonthEndFactor > 1 {
-		y, m, _ := t.Date()
-		lastDay := time.Date(y, m+1, 1, 0, 0, 0, 0, t.Location()).Add(-24 * time.Hour).Day()
-		if t.Day() >= lastDay-1 {
-			r *= c.a.MonthEndFactor
-		}
-	}
-	return r
+// newThinningCursor starts the stream at from. A bound of zero or less
+// means no arrivals: the exponential gap at a zero rate is infinite.
+func newThinningCursor(pool *Pool, users []string, rate func(time.Time) float64,
+	maxRate float64, from, to time.Time, rng *rand.Rand) *thinningCursor {
+	return &thinningCursor{pool: pool, users: users, rate: rate, maxRate: maxRate,
+		to: to, rng: rng, t: from, done: maxRate <= 0}
 }
 
-func (c *adhocCursor) Next(upTo time.Time) []Arrival {
+func (c *thinningCursor) Next(upTo time.Time) []Arrival {
 	final := !upTo.Before(c.to)
 	var out []Arrival
 	if c.have {
 		if !final && !c.pend.At.Before(upTo) {
-			return nil
+			return nil // chunk ends before the buffered arrival
 		}
 		out = append(out, c.pend)
 		c.have = false
 	}
-	if c.maxRate <= 0 {
-		c.done = true
-	}
 	for !c.done {
 		if !final && !c.t.Before(upTo) {
-			break
+			break // stream has reached this chunk's end
 		}
 		gapHours := c.rng.ExpFloat64() / c.maxRate
 		c.t = c.t.Add(time.Duration(gapHours * float64(time.Hour)))
@@ -317,14 +260,10 @@ func (c *adhocCursor) Next(upTo time.Time) []Arrival {
 			c.done = true
 			break
 		}
-		r := c.rate(c.t)
-		if r > c.maxRate {
-			r = c.maxRate
+		if c.rng.Float64()*c.maxRate > c.rate(c.t) {
+			continue // thinned
 		}
-		if c.rng.Float64()*c.maxRate > r {
-			continue
-		}
-		tpl := c.a.Pool.Draw(c.rng)
+		tpl := c.pool.Draw(c.rng)
 		c.seq++
 		q := tpl.Instantiate(c.rng, c.seq, UserHash(c.users[c.rng.Intn(len(c.users))]))
 		a := Arrival{At: c.t, Query: q}
@@ -342,9 +281,9 @@ func (c *adhocCursor) Next(upTo time.Time) []Arrival {
 // ---------------------------------------------------------------------
 // Mixed
 
-// Stream implements Streamer: each part gets its derived sub-stream in
-// the same order Generate derives them, then the parts are merged chunk
-// by chunk.
+// Stream implements Streamer: each part gets an independent sub-stream
+// derived from rng, for stability under reordering of parts, and the
+// parts are merged chunk by chunk.
 func (m Mixed) Stream(from, to time.Time, rng *rand.Rand) Cursor {
 	parts := make([]Cursor, len(m.Parts))
 	for i, g := range m.Parts {

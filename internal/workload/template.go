@@ -4,8 +4,10 @@
 // analytics with bursts and month-end spikes.
 //
 // Generators are pure: given a time range and a seeded random source
-// they return a deterministic list of arrivals. A Driver schedules the
-// arrivals onto a simulated account. Traces can be serialized and
+// they return a deterministic list of arrivals. Each shape is one
+// streaming cursor (Stream) that hands the arrivals out chunk by chunk,
+// and its Generate drains that cursor in one whole-horizon chunk. A
+// Driver schedules the arrivals onto a simulated account. Traces can be serialized and
 // replayed, which keeps experiments reproducible and lets the cost model
 // be evaluated on frozen workloads.
 package workload
