@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"strconv"
 	"testing"
 	"time"
 
@@ -12,11 +13,49 @@ import (
 
 var updateGolden = flag.Bool("update", false, "regenerate testdata golden files")
 
-// quickstartSnapshot reproduces the examples/quickstart scenario — an
+// goldenRun is what one scenario leaves behind: its telemetry snapshot
+// and the value-based-pricing invoices the optimizer issued.
+type goldenRun struct {
+	snapshot, invoices []byte
+}
+
+// finishRun stops the optimizer and captures the scenario's outputs.
+func finishRun(t *testing.T, sim *kwo.Simulation, opt *kwo.Optimizer) goldenRun {
+	t.Helper()
+	opt.Stop()
+	var buf bytes.Buffer
+	if err := sim.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return goldenRun{snapshot: buf.Bytes(), invoices: invoiceLines(opt.Invoices())}
+}
+
+// invoiceLines writes one line per invoice: warehouse, RFC3339 period
+// bounds, then actual, without-Keebo, savings, rate and charge in the
+// shortest form that round-trips, so any change to the bill shows.
+func invoiceLines(invs []kwo.Invoice) []byte {
+	var b []byte
+	for _, inv := range invs {
+		b = append(b, inv.Warehouse...)
+		b = append(b, ' ')
+		b = inv.From.AppendFormat(b, time.RFC3339)
+		b = append(b, ' ')
+		b = inv.To.AppendFormat(b, time.RFC3339)
+		for _, v := range []float64{inv.ActualCredits, inv.EstimatedWithoutKeebo,
+			inv.Savings, inv.Rate, inv.Charge} {
+			b = append(b, ' ')
+			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		}
+		b = append(b, '\n')
+	}
+	return b
+}
+
+// quickstartRun reproduces the examples/quickstart scenario — an
 // oversized BI warehouse with unoptimized history, then optimized under
 // the Balanced slider — compressed to two days of history plus three
 // optimized days so the golden file stays small and the test fast.
-func quickstartSnapshot(t *testing.T) []byte {
+func quickstartRun(t *testing.T) goldenRun {
 	t.Helper()
 	sim := kwo.NewSimulation(42)
 	if _, err := sim.CreateWarehouse(kwo.WarehouseConfig{
@@ -39,20 +78,14 @@ func quickstartSnapshot(t *testing.T) []byte {
 	}
 	opt.Start()
 	sim.RunFor(3 * 24 * time.Hour)
-	opt.Stop()
-
-	var buf bytes.Buffer
-	if err := sim.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return finishRun(t, sim, opt)
 }
 
-// multiWarehouseSnapshot reproduces the examples/multi-warehouse
+// multiWarehouseRun reproduces the examples/multi-warehouse
 // scenario — three very different warehouses (dashboards, pipelines,
 // ad-hoc analysis) under one optimizer, each with its own slider —
 // compressed to one day of history plus two optimized days.
-func multiWarehouseSnapshot(t *testing.T) []byte {
+func multiWarehouseRun(t *testing.T) goldenRun {
 	t.Helper()
 	sim := kwo.NewSimulation(21)
 	type spec struct {
@@ -99,60 +132,68 @@ func multiWarehouseSnapshot(t *testing.T) []byte {
 	}
 	opt.Start()
 	sim.RunFor(2 * 24 * time.Hour)
-	opt.Stop()
-
-	var buf bytes.Buffer
-	if err := sim.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return finishRun(t, sim, opt)
 }
 
 // checkGolden asserts two same-seed runs agree and match the committed
-// golden file; -update regenerates it.
-func checkGolden(t *testing.T, goldenPath string, snapshot func(*testing.T) []byte) {
+// snapshot and invoice golden files; -update regenerates both.
+func checkGolden(t *testing.T, snapshotPath, invoicesPath string, run func(*testing.T) goldenRun) {
 	t.Helper()
-	first := snapshot(t)
-	second := snapshot(t)
-	if !bytes.Equal(first, second) {
+	first := run(t)
+	second := run(t)
+	if !bytes.Equal(first.snapshot, second.snapshot) {
 		t.Fatalf("same seed produced different snapshots: %d vs %d bytes",
-			len(first), len(second))
+			len(first.snapshot), len(second.snapshot))
 	}
+	if !bytes.Equal(first.invoices, second.invoices) {
+		t.Fatalf("same seed produced different invoices:\n%s\nvs\n%s",
+			first.invoices, second.invoices)
+	}
+	checkGoldenFile(t, snapshotPath, first.snapshot)
+	checkGoldenFile(t, invoicesPath, first.invoices)
+}
+
+// checkGoldenFile compares got with the committed golden file, or
+// rewrites the file under -update.
+func checkGoldenFile(t *testing.T, goldenPath string, got []byte) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, first, 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d bytes)", goldenPath, len(first))
+		t.Logf("wrote %s (%d bytes)", goldenPath, len(got))
 		return
 	}
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create it): %v", err)
 	}
-	if !bytes.Equal(first, want) {
-		t.Fatalf("snapshot diverged from %s: got %d bytes, want %d; "+
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output diverged from %s: got %d bytes, want %d; "+
 			"if the simulator or engine changed intentionally, rerun with -update",
-			goldenPath, len(first), len(want))
+			goldenPath, len(got), len(want))
 	}
 }
 
 // TestGoldenTrace runs the quickstart scenario twice with the same seed
-// and asserts both runs produce byte-identical telemetry, which also
-// matches the committed golden file. Regenerate with:
+// and asserts both runs produce byte-identical telemetry and invoices,
+// which also match the committed golden files. Regenerate with:
 //
 //	go test . -run TestGoldenTrace -update
 func TestGoldenTrace(t *testing.T) {
-	checkGolden(t, "testdata/quickstart.golden.jsonl", quickstartSnapshot)
+	checkGolden(t, "testdata/quickstart.golden.jsonl",
+		"testdata/quickstart.invoices.golden.txt", quickstartRun)
 }
 
 // TestGoldenTraceMultiWarehouse pins the multi-warehouse scenario the
 // same way: one optimizer over three heterogeneous warehouses must
-// replay byte-identically. Regenerate with:
+// replay and bill byte-identically. Regenerate with:
 //
 //	go test . -run TestGoldenTraceMultiWarehouse -update
 func TestGoldenTraceMultiWarehouse(t *testing.T) {
-	checkGolden(t, "testdata/multiwarehouse.golden.jsonl", multiWarehouseSnapshot)
+	checkGolden(t, "testdata/multiwarehouse.golden.jsonl",
+		"testdata/multiwarehouse.invoices.golden.txt", multiWarehouseRun)
 }

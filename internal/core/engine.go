@@ -7,21 +7,12 @@ import (
 	"kwo/internal/action"
 	"kwo/internal/actuator"
 	"kwo/internal/cdw"
-	"kwo/internal/costmodel"
 	"kwo/internal/monitor"
 	"kwo/internal/obs"
 	"kwo/internal/pricing"
 	"kwo/internal/simclock"
 	"kwo/internal/telemetry"
 )
-
-// replayLag is how far the rolling replay cursor trails the clock.
-// Telemetry only learns a query's submission once the query completes,
-// so advancing the cursor right up to now would make every long query a
-// straggler that forces a rebuild; trailing by an hour keeps rebuilds
-// to queries that run longer than that. Correctness never depends on
-// the lag — the cursor detects stragglers and rebuilds itself.
-const replayLag = time.Hour
 
 // ingestFailThreshold is how many consecutive billing-history pull
 // failures put a warehouse into degraded mode: a blind optimizer must
@@ -64,11 +55,6 @@ type smState struct {
 	// Snowflake) whose billing history was ingested into the telemetry
 	// store.
 	lastBillingPull time.Time
-	// cursor incrementally replays the current billing period so the
-	// period-closing estimate in bill() is O(new records) instead of a
-	// from-scratch pass over the whole period. It is discarded whenever
-	// the model it was built on is retrained or the period rolls over.
-	cursor *costmodel.ReplayCursor
 
 	// Fault-tolerance bookkeeping (see Health).
 	ingestFails   int // consecutive failed billing-history pulls
@@ -420,19 +406,6 @@ func (e *Engine) tick(st *smState) {
 		}
 	}
 
-	// Advance the rolling replay cursor a safe distance behind now so
-	// the billing-period estimate amortizes over ticks instead of
-	// re-replaying the whole period when the invoice closes.
-	if log := e.store.Log(sm.Warehouse); log != nil && sm.cost != nil {
-		if st.cursor == nil || st.cursor.Model() != sm.cost {
-			st.cursor = costmodel.NewReplayCursor(sm.cost, log, st.billStart)
-			st.cursor.SetOnRebuild(e.hub.CursorRebuilds.With(sm.Warehouse).Inc)
-		}
-		if w := now.Add(-replayLag); w.After(st.billStart) {
-			st.cursor.Advance(w)
-		}
-	}
-
 	current := wh.Config()
 	snap := sm.mon.Observe(now)
 	sm.noteSnapshot(snap)
@@ -488,42 +461,15 @@ func (e *Engine) tick(st *smState) {
 	}
 
 	if st.degraded || pending {
-		if enforce := sm.decideDegraded(now, current, snap, external, credits); !enforce.IsZero() {
-			reason := "constraint"
-			if sm.settings.Constraints.Required(now, current).IsZero() {
-				reason = "constraint-restore"
-			}
-			e.hub.Emit(obs.EventDecision, sm.Warehouse,
-				obs.A("kind", "enforce"), obs.A("reason", reason),
-				obs.A("mode", "degraded"), obs.A("statement", enforce.String()))
-			if err := e.act.ApplyAlteration(sm.Warehouse, enforce, reason); err == nil {
-				sm.expected = wh.Config()
-			}
+		if enforce := sm.decideDegraded(now, current, external); !enforce.IsZero() {
+			e.enforce(sm, wh, now, current, enforce, true)
 		}
 		return
 	}
 
 	act, enforce := sm.decide(now, current, snap, external, credits, e.opts)
-
 	if !enforce.IsZero() {
-		// Enforcement proper (a window demands compliance now) and the
-		// post-window restore are logged under distinct reasons so audits
-		// can hold each to its own invariant. On failure the error is
-		// already in the actuator's failure log and retries continue in
-		// the background; the window is still active next tick, so
-		// enforcement re-fires until the config complies — expected is
-		// only advanced on a synchronous success (the OnApplied callback
-		// covers asynchronous ones).
-		reason := "constraint"
-		if sm.settings.Constraints.Required(now, current).IsZero() {
-			reason = "constraint-restore"
-		}
-		e.hub.Emit(obs.EventDecision, sm.Warehouse,
-			obs.A("kind", "enforce"), obs.A("reason", reason),
-			obs.A("statement", enforce.String()))
-		if err := e.act.ApplyAlteration(sm.Warehouse, enforce, reason); err == nil {
-			sm.expected = wh.Config()
-		}
+		e.enforce(sm, wh, now, current, enforce, false)
 		return
 	}
 	if act.Kind == action.NoOp {
@@ -543,6 +489,34 @@ func (e *Engine) tick(st *smState) {
 		obs.A("kind", act.Kind.String()), obs.A("reason", reason))
 	if applied, err := e.act.Apply(act, reason); err == nil && applied {
 		sm.markApplied(act, wh.Config())
+	}
+}
+
+// enforce emits and applies a constraint alteration; a degraded tick
+// tags its event mode=degraded. Enforcement proper (a window demands
+// compliance now) and the post-window restore are logged under distinct
+// reasons so audits can hold each to its own invariant. On failure the
+// error is already in the actuator's failure log and retries continue
+// in the background; the window is still active next tick, so
+// enforcement re-fires until the config complies — expected is only
+// advanced on a synchronous success (the OnApplied callback covers
+// asynchronous ones).
+func (e *Engine) enforce(sm *SmartModel, wh *cdw.Warehouse, now time.Time, current cdw.Config,
+	alt cdw.Alteration, degraded bool) {
+
+	reason := "constraint"
+	if sm.settings.Constraints.Required(now, current).IsZero() {
+		reason = "constraint-restore"
+	}
+	attrs := make([]obs.Attr, 0, 4)
+	attrs = append(attrs, obs.A("kind", "enforce"), obs.A("reason", reason))
+	if degraded {
+		attrs = append(attrs, obs.A("mode", "degraded"))
+	}
+	attrs = append(attrs, obs.A("statement", alt.String()))
+	e.hub.Emit(obs.EventDecision, sm.Warehouse, attrs...)
+	if err := e.act.ApplyAlteration(sm.Warehouse, alt, reason); err == nil {
+		sm.expected = wh.Config()
 	}
 }
 
@@ -578,26 +552,14 @@ func (e *Engine) bill(st *smState) {
 			e.noteInvoice(inv)
 		}
 		st.billStart = now
-		st.cursor = nil
 		return
 	}
-	log := e.store.Log(sm.Warehouse)
 	actual := wh.Meter().CreditsBetween(st.billStart, now, now)
-	var without float64
-	if st.cursor != nil && st.cursor.Model() == sm.cost && st.cursor.From().Equal(st.billStart) {
-		// The cursor has consumed most of the period during ticks; this
-		// final advance only replays the lagged tail. Its result is
-		// exactly what the from-scratch replay below would compute.
-		without = st.cursor.Advance(now).Credits
-		e.hub.Replays.With(sm.Warehouse, "incremental").Inc()
-	} else {
-		without = sm.cost.Replay(log, st.billStart, now).Credits
-		e.hub.Replays.With(sm.Warehouse, "scratch").Inc()
-	}
+	without := sm.cost.Replay(e.store.Log(sm.Warehouse), st.billStart, now).Credits
+	e.hub.Replays.With(sm.Warehouse, "scratch").Inc()
 	inv := e.ledger.Add(sm.Warehouse, st.billStart, now, actual, without)
 	e.noteInvoice(inv)
 	st.billStart = now
-	st.cursor = nil
 }
 
 // noteInvoice mirrors a freshly cut invoice into the obs registry and

@@ -8,6 +8,7 @@ import (
 
 	"kwo/internal/actuator"
 	"kwo/internal/cdw"
+	"kwo/internal/obs"
 	"kwo/internal/policy"
 	"kwo/internal/simclock"
 	"kwo/internal/workload"
@@ -71,7 +72,9 @@ func TestUntrainedBillZeroSavingsInvoice(t *testing.T) {
 // TestEnforcementFailureSurfacesAndRetries covers the enforcement-path
 // fix: a failed constraint enforcement lands in the structured failure
 // log, and the engine re-issues the enforcement on following ticks until
-// the warehouse complies.
+// the warehouse complies. It also pins the decision events across the
+// switch to the degraded path: the +30m tick finds a retry pending, so
+// its enforcement carries mode=degraded between reason and statement.
 func TestEnforcementFailureSurfacesAndRetries(t *testing.T) {
 	settings := DefaultSettings()
 	settings.Constraints = policy.Constraints{
@@ -109,6 +112,21 @@ func TestEnforcementFailureSurfacesAndRetries(t *testing.T) {
 	}
 	if len(ops) < 2 {
 		t.Fatalf("enforcement ops with failures = %d, want ≥2 (re-issued next tick)", len(ops))
+	}
+
+	var got []string
+	for _, ev := range engine.Obs().Bus.Recent(obs.DefaultRingSize) {
+		if ev.Kind == obs.EventDecision {
+			got = append(got, ev.JSON())
+		}
+	}
+	want := []string{
+		`{"seq":1,"time":"2023-01-02T00:10:00Z","kind":"decision","warehouse":"W","attrs":{"kind":"enforce","reason":"constraint","statement":"ALTER WAREHOUSE SET WAREHOUSE_SIZE=Large"}}`,
+		`{"seq":6,"time":"2023-01-02T00:20:00Z","kind":"decision","warehouse":"W","attrs":{"kind":"enforce","reason":"constraint","statement":"ALTER WAREHOUSE SET WAREHOUSE_SIZE=Large"}}`,
+		`{"seq":13,"time":"2023-01-02T00:30:00Z","kind":"decision","warehouse":"W","attrs":{"kind":"enforce","reason":"constraint","mode":"degraded","statement":"ALTER WAREHOUSE SET WAREHOUSE_SIZE=Large"}}`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("decision events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"kwo/internal/pricing"
 )
 
 // DayKPI is one row of the daily dashboard: credits spent and latency
@@ -48,7 +46,6 @@ type Report struct {
 	ActionsApplied   int
 	Reverts          int
 	ConstraintEvents int
-	Invoices         []pricing.Invoice
 }
 
 // String renders the report as the text dashboard used by cmd/kwo-dashboard.
@@ -94,7 +91,6 @@ func (e *Engine) Report(warehouse string, from, to time.Time) (Report, error) {
 		ActionsApplied:   sm.Applied,
 		Reverts:          sm.Reverts,
 		ConstraintEvents: sm.Constrained,
-		Invoices:         e.ledger.Invoices(),
 	}
 	if ws.Queries > 0 {
 		rep.CostPerQuery = rep.ActualCredits / float64(ws.Queries)

@@ -61,9 +61,8 @@ type SmartModel struct {
 	haveLast    bool
 	lastCredits float64 // cumulative credits at the previous tick
 
-	windows     int // decision ticks observed
-	actionsTakn int
-	attachedAt  time.Time
+	windows    int // decision ticks observed
+	attachedAt time.Time
 	// pressureStreak counts consecutive ticks with live performance
 	// pressure; queueStreak counts consecutive ticks with objective
 	// queueing. Provisioning beyond the original configuration requires
@@ -248,31 +247,49 @@ func (sm *SmartModel) enterDegraded() { sm.haveLast = false }
 // class, because the customer's hard rules hold no matter how unwell
 // the API surface is. External-change pause bookkeeping still runs so
 // foreign alterations observed during an outage are not forgotten.
-func (sm *SmartModel) decideDegraded(now time.Time, current cdw.Config, snap monitor.Snapshot,
-	externalChange bool, creditsNow float64) cdw.Alteration {
-
+func (sm *SmartModel) decideDegraded(now time.Time, current cdw.Config, externalChange bool) cdw.Alteration {
 	sm.windows++
+	if sm.holdPause(externalChange, current) {
+		return cdw.Alteration{}
+	}
+	return sm.enforcement(now, current)
+}
+
+// holdPause does the external-interference bookkeeping of §4.4: a
+// foreign change pauses optimization, and undoing it resumes
+// optimization automatically. It reports whether optimization stays
+// paused this tick.
+func (sm *SmartModel) holdPause(externalChange bool, current cdw.Config) bool {
 	if externalChange && !sm.paused {
 		sm.paused = true
 		sm.preExternal = sm.expected
 		sm.Pauses++
 	}
-	if sm.paused {
-		if current != sm.preExternal {
-			return cdw.Alteration{}
-		}
-		sm.paused = false
-		sm.expected = current
+	if !sm.paused {
+		return false
 	}
-	if req := sm.settings.Constraints.Required(now, current); !req.IsZero() {
-		if sm.enforceRestore == nil {
-			prev := current
-			sm.enforceRestore = &prev
-		}
-		sm.Constrained++
+	if current != sm.preExternal {
+		return true
+	}
+	sm.paused = false
+	sm.expected = current
+	return false
+}
+
+// enforcement returns the alteration an active enforcement window
+// requires now (zero when none does). On the window's first demand it
+// remembers the configuration to restore once every window closes.
+func (sm *SmartModel) enforcement(now time.Time, current cdw.Config) cdw.Alteration {
+	req := sm.settings.Constraints.Required(now, current)
+	if req.IsZero() {
 		return req
 	}
-	return cdw.Alteration{}
+	if sm.enforceRestore == nil {
+		prev := current
+		sm.enforceRestore = &prev
+	}
+	sm.Constrained++
+	return req
 }
 
 // decide runs one Algorithm 1 decision tick. It returns the chosen
@@ -289,20 +306,9 @@ func (sm *SmartModel) decide(now time.Time, current cdw.Config, snap monitor.Sna
 	tuning := sm.settings.Slider.Tuning()
 
 	// --- External interference handling (§4.4). ---
-	if externalChange && !sm.paused {
-		sm.paused = true
-		sm.preExternal = sm.expected
-		sm.Pauses++
-	}
-	if sm.paused {
-		// Resume automatically if the external change was undone.
-		if current == sm.preExternal {
-			sm.paused = false
-			sm.expected = current
-		} else {
-			sm.recordReward(snap, creditsNow, current)
-			return noop, cdw.Alteration{}
-		}
+	if sm.holdPause(externalChange, current) {
+		sm.recordReward(snap, creditsNow, current)
+		return noop, cdw.Alteration{}
 	}
 
 	// --- Online reward for the previous action. ---
@@ -317,17 +323,12 @@ func (sm *SmartModel) decide(now time.Time, current cdw.Config, snap monitor.Sna
 		sm.settings.Constraints.Allows(now, current, *bd.Revert) {
 		sm.Reverts++
 		sm.noteAction(now)
-		sm.rememberNext(snap, current, bd.Revert.Kind)
+		sm.lastAction = bd.Revert.Kind
 		return *bd.Revert, cdw.Alteration{}
 	}
 
 	// --- Constraint enforcement windows. ---
-	if req := sm.settings.Constraints.Required(now, current); !req.IsZero() {
-		if sm.enforceRestore == nil {
-			snap := current
-			sm.enforceRestore = &snap
-		}
-		sm.Constrained++
+	if req := sm.enforcement(now, current); !req.IsZero() {
 		return noop, req
 	}
 	// When every enforcement window has closed, restore the sizing
@@ -486,7 +487,7 @@ func (sm *SmartModel) decide(now time.Time, current cdw.Config, snap monitor.Sna
 				continue
 			}
 			sm.noteAction(now)
-			sm.rememberNext(snap, current, kind)
+			sm.lastAction = kind
 			return cand, cdw.Alteration{}
 		}
 		if bd.Conservative || snap.Degraded {
@@ -499,7 +500,7 @@ func (sm *SmartModel) decide(now time.Time, current cdw.Config, snap monitor.Sna
 				continue
 			}
 			sm.noteAction(now)
-			sm.rememberNext(snap, current, kind)
+			sm.lastAction = kind
 			return cand, cdw.Alteration{}
 		}
 	}
@@ -570,18 +571,11 @@ func (sm *SmartModel) recordReward(snap monitor.Snapshot, creditsNow float64, cu
 	sm.lastCredits = creditsNow
 }
 
-// rememberNext records which action the model just chose so the next
-// tick's reward is attributed to it.
-func (sm *SmartModel) rememberNext(snap monitor.Snapshot, current cdw.Config, kind action.Kind) {
-	sm.lastAction = kind
-}
-
 func (sm *SmartModel) noteAction(now time.Time) {
 	if sm.hourStart.IsZero() {
 		sm.hourStart = now
 	}
 	sm.actionsHour++
-	sm.actionsTakn++
 }
 
 // markApplied lets the engine confirm an action reached the warehouse,

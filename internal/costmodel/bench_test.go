@@ -9,8 +9,9 @@ import (
 	"kwo/internal/telemetry"
 )
 
-// benchLog builds a 100k-record log (~29 days of traffic) through the
-// real telemetry ingest path so indexes exist, as in production.
+// benchReplayLog builds an n-record log (100k is ~29 days of traffic)
+// through the real telemetry ingest path so indexes exist, as in
+// production.
 func benchReplayLog(n int) *telemetry.WarehouseLog {
 	rng := rand.New(rand.NewSource(7))
 	s := telemetry.NewStore()
@@ -29,53 +30,14 @@ func benchReplayLog(n int) *telemetry.WarehouseLog {
 
 var sinkReplay ReplayResult
 
-const benchReplayN = 100_000
-
-func benchReplaySetup(b *testing.B) (*Model, *telemetry.WarehouseLog, time.Time) {
-	b.Helper()
-	log := benchReplayLog(benchReplayN)
+// BenchmarkReplayFull100k is a single full-window replay, the unit of
+// work the engine runs once per billing period to price the invoice.
+func BenchmarkReplayFull100k(b *testing.B) {
+	log := benchReplayLog(100_000)
 	cfg := cdw.Config{Name: "W", Size: cdw.SizeSmall, MinClusters: 1,
 		MaxClusters: 2, AutoSuspend: 5 * time.Minute, AutoResume: true}
 	m := Train(log, cfg, t0, t0.Add(48*time.Hour), 8)
 	end := log.Queries[len(log.Queries)-1].EndTime.Add(time.Hour)
-	return m, log, end
-}
-
-// BenchmarkRollingReplayCursor100k is the monitor's real access
-// pattern: the savings window grows by an hour at a time and each
-// refresh replays [start, now). One op is a full rolling sweep over the
-// 100k-record log using the incremental cursor.
-func BenchmarkRollingReplayCursor100k(b *testing.B) {
-	m, log, end := benchReplaySetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cur := NewReplayCursor(m, log, t0)
-		var r ReplayResult
-		for at := t0.Add(time.Hour); at.Before(end); at = at.Add(time.Hour) {
-			r = cur.Advance(at)
-		}
-		sinkReplay = r
-	}
-}
-
-// BenchmarkRollingReplayScratch100k is the same sweep recomputed from
-// scratch each hour, the pre-cursor behavior.
-func BenchmarkRollingReplayScratch100k(b *testing.B) {
-	m, log, end := benchReplaySetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var r ReplayResult
-		for at := t0.Add(time.Hour); at.Before(end); at = at.Add(time.Hour) {
-			r = m.Replay(log, t0, at)
-		}
-		sinkReplay = r
-	}
-}
-
-// BenchmarkReplayFull100k is a single full-window replay, the unit of
-// work the scratch sweep repeats per step.
-func BenchmarkReplayFull100k(b *testing.B) {
-	m, log, end := benchReplaySetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkReplay = m.Replay(log, t0, end)

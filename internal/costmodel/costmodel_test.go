@@ -281,25 +281,6 @@ func TestReplayScalesExecAcrossSizes(t *testing.T) {
 	}
 }
 
-func TestEstimateSavings(t *testing.T) {
-	cfg := cdw.Config{
-		Name: "W", Size: cdw.SizeXSmall, MinClusters: 1, MaxClusters: 1,
-		AutoSuspend: time.Minute, AutoResume: true,
-	}
-	log := &telemetry.WarehouseLog{Name: "W"}
-	log.Queries = append(log.Queries, cdw.QueryRecord{
-		Warehouse: "W", SubmitTime: t0, StartTime: t0,
-		EndTime:      t0.Add(time.Minute),
-		ExecDuration: time.Minute, Size: cdw.SizeXSmall, Clusters: 1,
-	})
-	m := Train(log, cfg, t0, t0.Add(time.Hour), 8)
-	replayed := m.Replay(log, t0, t0.Add(time.Hour)).Credits
-	savings := m.EstimateSavings(log, replayed-0.01, t0, t0.Add(time.Hour))
-	if math.Abs(savings-0.01) > 1e-9 {
-		t.Fatalf("savings = %v, want 0.01", savings)
-	}
-}
-
 func TestEstimateCPHDirections(t *testing.T) {
 	cfg := cdw.Config{
 		Name: "W", Size: cdw.SizeMedium, MinClusters: 1, MaxClusters: 2,

@@ -55,15 +55,6 @@ func TrainWithBilling(log *telemetry.WarehouseLog, orig cdw.Config, from, to tim
 	}
 }
 
-// EstimateSavings returns the estimated credits KWO saved over
-// [from, to): the replayed without-Keebo cost minus the actual billed
-// credits. Actual cost comes straight from the billing ledger — per
-// §5.1, "the with-Keebo cost need not be estimated as it can be
-// directly obtained from the CDW's billing data."
-func (m *Model) EstimateSavings(log *telemetry.WarehouseLog, actualCredits float64, from, to time.Time) float64 {
-	return m.Replay(log, from, to).Credits - actualCredits
-}
-
 // ---------------------------------------------------------------------
 // Action-impact prediction: "the cost model ... predicts the impact of
 // each decision on cost and performance" (§4.3). The smart model

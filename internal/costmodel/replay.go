@@ -3,7 +3,6 @@ package costmodel
 import (
 	"time"
 
-	"kwo/internal/cdw/backend"
 	"kwo/internal/telemetry"
 )
 
@@ -40,15 +39,11 @@ type busyPeriod struct {
 // rule (per-start minimum floor, then quantum round-up). Because
 // busy-period starts strictly increase and each period begins after the
 // previous one's auto-suspend fired, billed starts AND billed ends are
-// strictly increasing across periods — which is what lets replay and
-// the cursor find the intervals overlapping a window with a rolling
-// index instead of a scan.
+// strictly increasing across periods — which is what lets Replay find
+// the intervals overlapping a window with a rolling index instead of a
+// scan.
 type billedIv struct {
 	start, end time.Time
-}
-
-func billedInterval(p busyPeriod, autoSuspend time.Duration, rule backend.BillingRule) billedIv {
-	return billedIv{p.start, rule.BilledEnd(p.start, p.end.Add(autoSuspend))}
 }
 
 // overlapSecs returns the overlap of iv with [w, wEnd) in seconds.
@@ -112,8 +107,7 @@ func (m *Model) windowCredits(activeSecs float64, w, wEnd time.Time, n int, sumE
 // Cost is O(R log N + W): the record range is a binary-searched view
 // of the submit index, and the pricing pass walks records and billed
 // intervals with rolling pointers rather than rescanning them per
-// window. For a rolling estimate over a growing range, use
-// ReplayCursor, which reuses the busy-period state between calls.
+// window.
 func (m *Model) Replay(log *telemetry.WarehouseLog, from, to time.Time) ReplayResult {
 	res := ReplayResult{From: from, To: to}
 	recs := log.SubmittedBetween(from, to)
@@ -157,7 +151,7 @@ func (m *Model) Replay(log *telemetry.WarehouseLog, from, to time.Time) ReplayRe
 	// quantized under the backend's billing rule.
 	billedIvs := make([]billedIv, 0, len(periods))
 	for _, p := range periods {
-		iv := billedInterval(p, autoSuspend, m.Billing)
+		iv := billedIv{p.start, m.Billing.BilledEnd(p.start, p.end.Add(autoSuspend))}
 		billedIvs = append(billedIvs, iv)
 		res.ActiveSeconds += iv.end.Sub(iv.start).Seconds()
 	}

@@ -20,7 +20,6 @@ const (
 	MetricInvoiceCharge       = "kwo_invoice_charge_credits_total"
 	MetricTrainings           = "kwo_trainings_total"
 	MetricReplays             = "kwo_replays_total"
-	MetricCursorRebuilds      = "kwo_replay_cursor_rebuilds_total"
 	MetricMonitorSpikes       = "kwo_monitor_spikes_total"
 	MetricMonitorReverts      = "kwo_monitor_reverts_total"
 	MetricQueries             = "kwo_telemetry_queries_total"
@@ -43,6 +42,12 @@ const (
 	MetricSLOPass             = "kwo_slo_pass"
 )
 
+// MetricCursorRebuilds is registered by no hub: billing replays each
+// period in full and has no replay cursor to rebuild. The name stays
+// because the kwobench harness still reads it as a per-layer counter,
+// where an unregistered family sums to zero.
+const MetricCursorRebuilds = "kwo_replay_cursor_rebuilds_total"
+
 // Hub bundles the metrics registry and the event bus and pre-registers
 // the full KWO metric catalog, so the ops endpoint exposes every
 // metric (at zero) from the first scrape. One hub is shared by the
@@ -59,8 +64,7 @@ type Hub struct {
 	Degraded            *GaugeVec   // warehouse
 	IngestFailures      *CounterVec // warehouse
 	Trainings           *CounterVec // warehouse
-	Replays             *CounterVec // warehouse, mode=incremental|scratch
-	CursorRebuilds      *CounterVec // warehouse
+	Replays             *CounterVec // warehouse, mode=scratch
 	Invoices            *CounterVec // warehouse
 	InvoiceActual       *CounterVec // warehouse
 	InvoiceSavings      *CounterVec // warehouse
@@ -122,9 +126,8 @@ func NewHub(clock func() time.Time) *Hub {
 	h.Trainings = r.NewCounterVec(MetricTrainings,
 		"Smart-model training rounds completed.", "warehouse")
 	h.Replays = r.NewCounterVec(MetricReplays,
-		"Cost-model replays by mode (incremental cursor vs from scratch).", "warehouse", "mode")
-	h.CursorRebuilds = r.NewCounterVec(MetricCursorRebuilds,
-		"Replay-cursor rebuilds forced by straggler billing rows.", "warehouse")
+		"What-if replays that price a billing period without Keebo (mode=scratch: one full replay each).",
+		"warehouse", "mode")
 	h.Invoices = r.NewCounterVec(MetricInvoices,
 		"Invoices cut at billing-period close.", "warehouse")
 	h.InvoiceActual = r.NewCounterVec(MetricInvoiceActual,
@@ -205,8 +208,7 @@ func (h *Hub) Prime(warehouse string) {
 	h.Degraded.With(warehouse)
 	h.IngestFailures.With(warehouse)
 	h.Trainings.With(warehouse)
-	h.Replays.With(warehouse, "incremental")
-	h.CursorRebuilds.With(warehouse)
+	h.Replays.With(warehouse, "scratch")
 	h.Invoices.With(warehouse)
 	h.InvoiceActual.With(warehouse)
 	h.InvoiceSavings.With(warehouse)

@@ -19,7 +19,7 @@ func TestNoWallClockInInstrumentedPackages(t *testing.T) {
 		"../core",      // engine instrumentation
 		"../actuator",  // retry/breaker instrumentation
 		"../monitor",   // snapshot observer
-		"../costmodel", // replay-cursor rebuild hook
+		"../costmodel", // training and replays run on the simulation clock
 		"../cdw",       // fault/audit instrumentation
 		"../telemetry", // query/billing instrumentation
 		"../simclock",  // the clock itself must be purely seeded
