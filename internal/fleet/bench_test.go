@@ -1,7 +1,11 @@
 package fleet
 
 import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -69,6 +73,82 @@ func BenchmarkFleetProvision(b *testing.B) {
 		}
 		f.Close()
 	}
+}
+
+// opsFleet is a fleet at kwobench ops-read's shape, built once for the
+// /fleet/timeseries read benchmarks: 128 tenants after 170 hourly
+// epochs, their optimizers never attached.
+var (
+	opsFleetOnce sync.Once
+	opsFleet     *Fleet
+	opsFleetErr  error
+)
+
+func opsReadFleet(b *testing.B) *Fleet {
+	opsFleetOnce.Do(func() {
+		const epochs = 170
+		f, err := New(Config{
+			Tenants:     128,
+			Seed:        7,
+			Workers:     runtime.NumCPU(),
+			Epochs:      epochs + 2,
+			EpochLen:    time.Hour,
+			AttachEpoch: epochs + 1,
+			Opts:        lightOpts(),
+		})
+		if err != nil {
+			opsFleetErr = err
+			return
+		}
+		defer f.Close()
+		for e := 0; e < epochs && opsFleetErr == nil; e++ {
+			opsFleetErr = f.RunEpoch()
+		}
+		opsFleet = f
+	})
+	if opsFleetErr != nil {
+		b.Fatal(opsFleetErr)
+	}
+	return opsFleet
+}
+
+// bufferResponse is a ResponseWriter into one reused buffer.
+type bufferResponse struct {
+	header http.Header
+	body   bytes.Buffer
+}
+
+func (w *bufferResponse) Header() http.Header { return w.header }
+
+func (w *bufferResponse) WriteHeader(int) {}
+
+func (w *bufferResponse) Write(p []byte) (int, error) { return w.body.Write(p) }
+
+// benchTimeSeries times one full /fleet/timeseries read of the ops-read
+// fleet into a reused response buffer.
+func benchTimeSeries(b *testing.B, read func(f *Fleet, w http.ResponseWriter)) {
+	f := opsReadFleet(b)
+	w := &bufferResponse{header: http.Header{}}
+	read(f, w) // grow the buffer and any pooled scratch
+	b.SetBytes(int64(w.body.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.body.Reset()
+		read(f, w)
+	}
+}
+
+func BenchmarkFleetTimeSeries128(b *testing.B) {
+	req := httptest.NewRequest("GET", "/fleet/timeseries", nil)
+	h := Handler(opsReadFleet(b))
+	benchTimeSeries(b, func(_ *Fleet, w http.ResponseWriter) { h.ServeHTTP(w, req) })
+}
+
+// BenchmarkFleetTimeSeries128Naive is the same read through the
+// encoding/json oracle the endpoint served before it streamed.
+func BenchmarkFleetTimeSeries128Naive(b *testing.B) {
+	benchTimeSeries(b, func(f *Fleet, w http.ResponseWriter) { writeJSON(w, f.TimeSeries()) })
 }
 
 // TestLazyProvisioningMemoryFlat: provisioning must not materialize

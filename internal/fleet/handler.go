@@ -30,6 +30,8 @@ const TenantLabel = "tenant"
 // advancing: registries and buses carry their own locks, the tenant
 // list is immutable after New, and the /fleet/* payloads serialize on
 // the observability plane's lock against epoch-boundary sampling.
+// /fleet/timeseries holds that lock only to copy the series, and
+// streams its body after releasing it.
 func Handler(f *Fleet) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -65,7 +67,10 @@ func Handler(f *Fleet) http.Handler {
 	})
 	mux.HandleFunc("/fleet/timeseries", func(w http.ResponseWriter, r *http.Request) {
 		if rows, ok := tenantParam(f, w, r); ok {
-			writeJSON(w, f.timeSeries(rows))
+			w.Header().Set("Content-Type", "application/json")
+			if err := f.writeTimeSeries(w, rows); err != nil {
+				fmt.Fprintf(w, "\n// encode error: %v\n", err)
+			}
 		}
 	})
 	mux.HandleFunc("/fleet/slo", func(w http.ResponseWriter, r *http.Request) {

@@ -4,7 +4,7 @@ package fleet
 // samples each tenant's recorder (per-tenant time series on the
 // simulation clock) and folds the raw values into fleet-aggregate
 // series. The plane also builds the JSON payloads behind the
-// /fleet/kpis, /fleet/timeseries, and /fleet/slo endpoints.
+// /fleet/kpis and /fleet/slo endpoints, and streams /fleet/timeseries.
 //
 // Everything here is deterministic: sampling happens sequentially in
 // tenant-index order on the epoch barrier, timestamps come from the
@@ -14,6 +14,7 @@ package fleet
 
 import (
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -263,12 +264,12 @@ func (f *Fleet) KPIs() LiveKPIs {
 			Tenant:    t.id,
 			Index:     t.idx,
 			Seed:      t.seed,
-			Profile:   t.prof.String(),
+			Profile:   t.profText,
 			Last:      make(map[string]float64, len(p.specs)),
 			SLOPass:   len(failed) == 0,
 			WorstBurn: obs.WorstBurn(t.slo),
 			Failed:    failed,
-			Replay:    replayCommand(f.cfg, t.idx, t.seed),
+			Replay:    t.replayCmd,
 		}
 		if t.quarantined() {
 			row.Quarantined = true
@@ -287,12 +288,10 @@ func (f *Fleet) KPIs() LiveKPIs {
 	return out
 }
 
-// TimeSeries builds the /fleet/timeseries payload.
-func (f *Fleet) TimeSeries() FleetTimeSeries { return f.timeSeries(f.tenants) }
-
-// timeSeries builds the /fleet/timeseries payload with per-tenant series
-// for rows only: every tenant, or one for a drill-down.
-func (f *Fleet) timeSeries(rows []*tenant) FleetTimeSeries {
+// TimeSeries builds the /fleet/timeseries payload as a value, for Go
+// callers and checkpoint views. The endpoint streams the same bytes
+// without building it (writeTimeSeries).
+func (f *Fleet) TimeSeries() FleetTimeSeries {
 	p := f.plane
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -305,10 +304,86 @@ func (f *Fleet) timeSeries(rows []*tenant) FleetTimeSeries {
 	for i, s := range p.fleet {
 		out.Fleet[i] = s.Dump()
 	}
-	for _, t := range rows {
+	for _, t := range f.tenants {
 		out.PerTenant = append(out.PerTenant, TenantSeries{Tenant: t.id, Series: t.rec.Dump()})
 	}
 	return out
+}
+
+// tsChunk is how many rendered bytes a /fleet/timeseries read gathers
+// before it writes them out.
+const tsChunk = 32 << 10
+
+// tsScratch is the working set of one /fleet/timeseries read: the
+// series copied under the plane lock and the render buffer. It is
+// pooled rather than kept on the Fleet, so no read's scratch outlives
+// the next garbage collections.
+type tsScratch struct {
+	series obs.SeriesCopy
+	buf    []byte
+}
+
+var tsScratchPool = sync.Pool{New: func() any { return new(tsScratch) }}
+
+// writeTimeSeries streams the /fleet/timeseries payload with per-tenant
+// series for rows only (every tenant, or one for a drill-down): the
+// bytes encoding/json with a two-space indent renders for TimeSeries
+// with per_tenant cut to rows. The plane lock covers only the copy of
+// the series; rendering and every Write come after it is released, so
+// a stalled client cannot hold up the epoch barrier. A non-finite value
+// fails the whole payload before anything is written, with the error
+// encoding/json returns.
+func (f *Fleet) writeTimeSeries(w io.Writer, rows []*tenant) error {
+	s := tsScratchPool.Get().(*tsScratch)
+	defer tsScratchPool.Put(s)
+	p := f.plane
+	p.mu.Lock()
+	budget, epoch := p.budget, p.epoch
+	s.series.Reset()
+	for _, se := range p.fleet {
+		s.series.Add(se)
+	}
+	for _, t := range rows {
+		s.series.AddRecorder(t.rec)
+	}
+	p.mu.Unlock()
+	if err := s.series.Err(); err != nil {
+		return err
+	}
+	// The fleet and every tenant record the same specs, so series
+	// [n*k, n*(k+1)) are the fleet's for k = 0 and rows[k-1]'s after.
+	// rows is never empty (a fleet has at least one tenant), so
+	// per_tenant is never encoding/json's null.
+	n := len(p.specs)
+	b := append(s.buf[:0], "{\n  \"budget\": "...)
+	b = strconv.AppendInt(b, int64(budget), 10)
+	b = append(b, ",\n  \"epoch_len_ns\": "...)
+	b = strconv.AppendInt(b, int64(f.cfg.EpochLen), 10)
+	b = append(b, ",\n  \"epoch\": "...)
+	b = strconv.AppendInt(b, int64(epoch), 10)
+	b = append(b, ",\n  \"fleet\": "...)
+	b = s.series.AppendJSON(b, 0, n, 1)
+	b = append(b, ",\n  \"per_tenant\": ["...)
+	for i, t := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"tenant\": "...)
+		b = obs.AppendJSONString(b, t.id)
+		b = append(b, ",\n      \"series\": "...)
+		b = s.series.AppendJSON(b, n*(i+1), n*(i+2), 3)
+		b = append(b, "\n    }"...)
+		if len(b) >= tsChunk {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
+	}
+	b = append(b, "\n  ]\n}\n"...)
+	s.buf = b
+	_, err := w.Write(b)
+	return err
 }
 
 // SLOStatus builds the /fleet/slo payload from the verdicts every
@@ -351,7 +426,7 @@ func (f *Fleet) sloStatus(rows []*tenant) SLOStatus {
 			Pass:      len(obs.FailedObjectives(t.slo)) == 0,
 			WorstBurn: obs.WorstBurn(t.slo),
 			Verdicts:  t.slo,
-			Replay:    replayCommand(f.cfg, t.idx, t.seed),
+			Replay:    t.replayCmd,
 		}
 		if t.quarantined() {
 			row.Quarantined = true

@@ -172,8 +172,10 @@ func replayConfig(t *testing.T, cmd string, base Config) (Config, int64) {
 // 1, across the quarantine, after finish, and again after a resume
 // from a mid-run checkpoint — and holds the read side to its oracles at
 // each: every tenant's stored verdicts equal a fresh obs.Evaluate over
-// its series, and every ?tenant= drill-down body equals the full body
-// with per_tenant cut to that row, byte for byte.
+// its series; the streamed /fleet/timeseries, full and ?tenant=, equals
+// encoding/json over TimeSeries (cut to the row); and every
+// /fleet/slo?tenant= body equals the full payload with per_tenant cut
+// to that row, byte for byte.
 func TestReadPathsMatchOracles(t *testing.T) {
 	cfg := testConfig(4, 2)
 	cfg.Epochs = 8
@@ -190,19 +192,18 @@ func TestReadPathsMatchOracles(t *testing.T) {
 				t.Errorf("%s: tenant %s stored verdicts %+v, fresh evaluation %+v", at, tn.id, tn.slo, fresh)
 			}
 		}
+		checkTimeSeriesBodies(t, f, at)
 		h := Handler(f)
 		for i, tn := range f.tenants {
-			ts, slo := f.TimeSeries(), f.SLOStatus()
-			ts.PerTenant, slo.PerTenant = ts.PerTenant[i:i+1], slo.PerTenant[i:i+1]
-			for path, cut := range map[string]any{"/fleet/timeseries": ts, "/fleet/slo": slo} {
-				want := httptest.NewRecorder()
-				writeJSON(want, cut)
-				got := httptest.NewRecorder()
-				h.ServeHTTP(got, httptest.NewRequest("GET", path+"?tenant="+tn.id, nil))
-				if got.Code != 200 || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-					t.Errorf("%s: %s?tenant=%s (status %d) differs from the full body cut to its row:\n got: %s\nwant: %s",
-						at, path, tn.id, got.Code, got.Body, want.Body)
-				}
+			slo := f.SLOStatus()
+			slo.PerTenant = slo.PerTenant[i : i+1]
+			want := httptest.NewRecorder()
+			writeJSON(want, slo)
+			got := httptest.NewRecorder()
+			h.ServeHTTP(got, httptest.NewRequest("GET", "/fleet/slo?tenant="+tn.id, nil))
+			if got.Code != 200 || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Errorf("%s: /fleet/slo?tenant=%s (status %d) differs from the full body cut to its row:\n got: %s\nwant: %s",
+					at, tn.id, got.Code, got.Body, want.Body)
 			}
 		}
 	}
@@ -329,10 +330,11 @@ func TestHandlerFleetEndpoints(t *testing.T) {
 	}
 }
 
-// TestObsPlaneScrapeWhileAdvancing hammers the ops endpoints from a
-// second goroutine while the fleet advances epoch by epoch — under
+// TestObsPlaneScrapeWhileAdvancing hammers the ops endpoints from two
+// more goroutines while the fleet advances epoch by epoch — under
 // -race this proves the plane lock actually covers every recorder and
-// series access the endpoints make.
+// series access the endpoints make, and that concurrent reads never
+// share pooled scratch.
 func TestObsPlaneScrapeWhileAdvancing(t *testing.T) {
 	cfg := testConfig(4, 2)
 	f, err := New(cfg)
@@ -344,24 +346,26 @@ func TestObsPlaneScrapeWhileAdvancing(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for _, path := range []string{"/fleet/kpis", "/fleet/timeseries", "/fleet/slo", "/metrics"} {
-				rr := httptest.NewRecorder()
-				h.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
-				if rr.Code != 200 {
-					t.Errorf("%s status %d while advancing", path, rr.Code)
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, path := range []string{"/fleet/kpis", "/fleet/timeseries", "/fleet/slo", "/metrics"} {
+					rr := httptest.NewRecorder()
+					h.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+					if rr.Code != 200 {
+						t.Errorf("%s status %d while advancing", path, rr.Code)
+					}
 				}
 			}
-		}
-	}()
+		}()
+	}
 	for e := 0; e < cfg.Epochs; e++ {
 		if err := f.RunEpoch(); err != nil {
 			t.Errorf("epoch %d: %v", e, err)

@@ -220,6 +220,11 @@ type tenant struct {
 	seed int64
 	prof profile
 	plan *cdw.FaultPlan
+	// profText and replayCmd are prof.String() and the tenant's
+	// drill-down command, computed once at provisioning: both depend
+	// only on the pinned Config, the index and the seed.
+	profText  string
+	replayCmd string
 
 	sched  *simclock.Scheduler
 	acct   *cdw.Account
@@ -278,6 +283,8 @@ func newTenant(idx int, id string, seed int64, cfg Config) *tenant {
 		t.attachErr = fmt.Errorf("tenant %s: backend: %w", id, bkErr)
 		bk = cdw.DefaultBackend()
 	}
+	t.profText = t.prof.String()
+	t.replayCmd = replayCommand(cfg, idx, seed)
 	t.acct = cdw.NewAccountWithBackend(t.sched, cfg.Params, bk)
 	t.store = telemetry.NewStore()
 	t.hub = obs.NewHub(t.sched.Now)
@@ -399,7 +406,7 @@ func (t *tenant) restoreQuarantine(rq *resumeQuarantine) {
 // mid-step may not be able to answer every question — falling back to
 // an identity-only row rather than taking the fleet down twice.
 func (t *tenant) freezeKPI(epoch int, reason string) *TenantKPI {
-	k := TenantKPI{Tenant: t.id, Index: t.idx, Seed: t.seed, Profile: t.prof.String()}
+	k := TenantKPI{Tenant: t.id, Index: t.idx, Seed: t.seed, Profile: t.profText}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -485,7 +492,7 @@ func (t *tenant) kpiNow() TenantKPI {
 		Tenant:  t.id,
 		Index:   t.idx,
 		Seed:    t.seed,
-		Profile: t.prof.String(),
+		Profile: t.profText,
 	}
 	if t.attachErr != nil {
 		k.Err = t.attachErr.Error()
