@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -75,9 +76,34 @@ func BenchmarkFleetProvision(b *testing.B) {
 	}
 }
 
-// opsFleet is a fleet at kwobench ops-read's shape, built once for the
-// /fleet/timeseries read benchmarks: 128 tenants after 170 hourly
-// epochs, their optimizers never attached.
+// opsShapeFleet builds a fleet at kwobench ops-read's shape: 128
+// tenants after 170 hourly epochs, their optimizers never attached,
+// with room for more epochs.
+func opsShapeFleet(more int) (*Fleet, error) {
+	const epochs = 170
+	f, err := New(Config{
+		Tenants:     128,
+		Seed:        7,
+		Workers:     runtime.NumCPU(),
+		Epochs:      epochs + more + 1,
+		EpochLen:    time.Hour,
+		AttachEpoch: epochs + more,
+		Opts:        lightOpts(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	for e := 0; e < epochs; e++ {
+		if err := f.RunEpoch(); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// opsFleet is the ops-read-shaped fleet the /fleet/timeseries read
+// benchmarks share, built once.
 var (
 	opsFleetOnce sync.Once
 	opsFleet     *Fleet
@@ -86,25 +112,10 @@ var (
 
 func opsReadFleet(b *testing.B) *Fleet {
 	opsFleetOnce.Do(func() {
-		const epochs = 170
-		f, err := New(Config{
-			Tenants:     128,
-			Seed:        7,
-			Workers:     runtime.NumCPU(),
-			Epochs:      epochs + 2,
-			EpochLen:    time.Hour,
-			AttachEpoch: epochs + 1,
-			Opts:        lightOpts(),
-		})
-		if err != nil {
-			opsFleetErr = err
-			return
+		opsFleet, opsFleetErr = opsShapeFleet(1)
+		if opsFleetErr == nil {
+			opsFleet.Close()
 		}
-		defer f.Close()
-		for e := 0; e < epochs && opsFleetErr == nil; e++ {
-			opsFleetErr = f.RunEpoch()
-		}
-		opsFleet = f
 	})
 	if opsFleetErr != nil {
 		b.Fatal(opsFleetErr)
@@ -149,6 +160,39 @@ func BenchmarkFleetTimeSeries128(b *testing.B) {
 // encoding/json oracle the endpoint served before it streamed.
 func BenchmarkFleetTimeSeries128Naive(b *testing.B) {
 	benchTimeSeries(b, func(f *Fleet, w http.ResponseWriter) { writeJSON(w, f.TimeSeries()) })
+}
+
+// BenchmarkFleetReadsAfterEpoch times /fleet/timeseries and the merged
+// /metrics scrape at ops-read's shape the way ops-read issues them:
+// each read follows one epoch, run with the timer stopped, so it pays
+// for catching the rendered series points up and for the new values.
+// Back-to-back reads of a fleet that does not advance find every
+// render current and overstate what the caches save.
+func BenchmarkFleetReadsAfterEpoch(b *testing.B) {
+	for _, path := range []string{"/fleet/timeseries", "/metrics"} {
+		b.Run(path[strings.LastIndexByte(path, '/')+1:], func(b *testing.B) {
+			f, err := opsShapeFleet(b.N + 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer f.Close()
+			h := Handler(f)
+			req := httptest.NewRequest("GET", path, nil)
+			w := &bufferResponse{header: http.Header{}}
+			h.ServeHTTP(w, req) // build the renders and grow the buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := f.RunEpoch(); err != nil {
+					b.Fatal(err)
+				}
+				w.body.Reset()
+				b.StartTimer()
+				h.ServeHTTP(w, req)
+			}
+		})
+	}
 }
 
 // TestLazyProvisioningMemoryFlat: provisioning must not materialize

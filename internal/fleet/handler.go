@@ -30,8 +30,9 @@ const TenantLabel = "tenant"
 // advancing: registries and buses carry their own locks, the tenant
 // list is immutable after New, and the /fleet/* payloads serialize on
 // the observability plane's lock against epoch-boundary sampling.
-// /fleet/timeseries holds that lock only to copy the series, and
-// streams its body after releasing it.
+// /fleet/timeseries holds that lock only to bring each series' rendered
+// points up to date and copy them out, and streams its body after
+// releasing it.
 func Handler(f *Fleet) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -50,7 +50,6 @@ type obsPlane struct {
 func newObsPlane(cfg Config, start time.Time) *obsPlane {
 	p := &obsPlane{
 		specs:   obs.FleetSpecs(),
-		budget:  cfg.SeriesBudget,
 		now:     start,
 		tracker: obs.NewAlertTracker(),
 		sink:    cfg.AlertSink,
@@ -59,6 +58,9 @@ func newObsPlane(cfg Config, start time.Time) *obsPlane {
 	for i, sp := range p.specs {
 		p.fleet[i] = obs.NewSeries(sp.Name, sp.TimeAgg, cfg.SeriesBudget)
 	}
+	// The payloads report the budget the series keep, which NewSeries
+	// may have raised from the configured one.
+	p.budget = p.fleet[0].Budget()
 	return p
 }
 
@@ -315,7 +317,7 @@ func (f *Fleet) TimeSeries() FleetTimeSeries {
 const tsChunk = 32 << 10
 
 // tsScratch is the working set of one /fleet/timeseries read: the
-// series copied under the plane lock and the render buffer. It is
+// series copied under the plane lock and the write buffer. It is
 // pooled rather than kept on the Fleet, so no read's scratch outlives
 // the next garbage collections.
 type tsScratch struct {
@@ -328,25 +330,34 @@ var tsScratchPool = sync.Pool{New: func() any { return new(tsScratch) }}
 // writeTimeSeries streams the /fleet/timeseries payload with per-tenant
 // series for rows only (every tenant, or one for a drill-down): the
 // bytes encoding/json with a two-space indent renders for TimeSeries
-// with per_tenant cut to rows. The plane lock covers only the copy of
-// the series; rendering and every Write come after it is released, so
-// a stalled client cannot hold up the epoch barrier. A non-finite value
-// fails the whole payload before anything is written, with the error
-// encoding/json returns.
+// with per_tenant cut to rows. The plane lock covers only bringing each
+// series' rendered points up to date and copying them out (the fleet's
+// series at depth 1, each tenant's at depth 3), or copying the points of
+// a series whose render starts over. Those renders are made after the
+// lock is released and handed to their series under it again. The
+// document is assembled from the copied bytes, and every Write made,
+// with the lock released, so a stalled client cannot hold up the epoch
+// barrier. A non-finite value fails the whole payload before anything
+// is written, with the error encoding/json returns.
 func (f *Fleet) writeTimeSeries(w io.Writer, rows []*tenant) error {
 	s := tsScratchPool.Get().(*tsScratch)
-	defer tsScratchPool.Put(s)
+	defer func() {
+		s.series.Reset()
+		tsScratchPool.Put(s)
+	}()
 	p := f.plane
 	p.mu.Lock()
 	budget, epoch := p.budget, p.epoch
-	s.series.Reset()
-	for _, se := range p.fleet {
-		s.series.Add(se)
-	}
+	s.series.Add(1, p.fleet...)
 	for _, t := range rows {
-		s.series.AddRecorder(t.rec)
+		s.series.AddRecorder(t.rec, 3)
 	}
 	p.mu.Unlock()
+	if s.series.Render() {
+		p.mu.Lock()
+		s.series.Keep()
+		p.mu.Unlock()
+	}
 	if err := s.series.Err(); err != nil {
 		return err
 	}
@@ -362,7 +373,7 @@ func (f *Fleet) writeTimeSeries(w io.Writer, rows []*tenant) error {
 	b = append(b, ",\n  \"epoch\": "...)
 	b = strconv.AppendInt(b, int64(epoch), 10)
 	b = append(b, ",\n  \"fleet\": "...)
-	b = s.series.AppendJSON(b, 0, n, 1)
+	b = s.series.AppendJSON(b, 0, n)
 	b = append(b, ",\n  \"per_tenant\": ["...)
 	for i, t := range rows {
 		if i > 0 {
@@ -371,7 +382,7 @@ func (f *Fleet) writeTimeSeries(w io.Writer, rows []*tenant) error {
 		b = append(b, "\n    {\n      \"tenant\": "...)
 		b = obs.AppendJSONString(b, t.id)
 		b = append(b, ",\n      \"series\": "...)
-		b = s.series.AppendJSON(b, n*(i+1), n*(i+2), 3)
+		b = s.series.AppendJSON(b, n*(i+1), n*(i+2))
 		b = append(b, "\n    }"...)
 		if len(b) >= tsChunk {
 			if _, err := w.Write(b); err != nil {

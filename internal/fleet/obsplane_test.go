@@ -175,10 +175,24 @@ func replayConfig(t *testing.T, cmd string, base Config) (Config, int64) {
 // its series; the streamed /fleet/timeseries, full and ?tenant=, equals
 // encoding/json over TimeSeries (cut to the row); and every
 // /fleet/slo?tenant= body equals the full payload with per_tenant cut
-// to that row, byte for byte.
+// to that row, byte for byte. It walks twice: at the default budget,
+// where no series halves, and at budget 4 over enough epochs that the
+// series halve at least twice in each walk, so the rendered points the
+// reads keep are started over and caught up again.
 func TestReadPathsMatchOracles(t *testing.T) {
+	for _, tc := range []struct {
+		budget, epochs, halvings int
+	}{{0, 8, 0}, {4, 16, 2}} {
+		t.Run(fmt.Sprintf("budget %d", tc.budget), func(t *testing.T) {
+			readPathsMatchOracles(t, tc.budget, tc.epochs, tc.halvings)
+		})
+	}
+}
+
+func readPathsMatchOracles(t *testing.T, budget, epochs, halvings int) {
 	cfg := testConfig(4, 2)
-	cfg.Epochs = 8
+	cfg.Epochs = epochs
+	cfg.SeriesBudget = budget
 	cfg.FaultRate = 0.5
 	cfg.PanicTenants = []int{1}
 	cfg.PanicEpoch = 3
@@ -210,6 +224,7 @@ func TestReadPathsMatchOracles(t *testing.T) {
 	walk := func(f *Fleet, from string) {
 		t.Helper()
 		check(f, from)
+		stride := f.plane.fleet[0].Stride()
 		for f.Epoch() < cfg.Epochs {
 			// A payload read before the barrier keeps its verdicts: the
 			// barrier replaces each tenant's stored slice, never
@@ -226,6 +241,9 @@ func TestReadPathsMatchOracles(t *testing.T) {
 		}
 		f.finish()
 		check(f, from+", after finish")
+		if got := f.plane.fleet[0].Stride(); got < stride<<halvings {
+			t.Errorf("%s: the fleet's series went from stride %d to %d, fewer than %d halvings", from, stride, got, halvings)
+		}
 	}
 
 	f, err := New(cfg)
@@ -334,15 +352,29 @@ func TestHandlerFleetEndpoints(t *testing.T) {
 // more goroutines while the fleet advances epoch by epoch — under
 // -race this proves the plane lock actually covers every recorder and
 // series access the endpoints make, and that concurrent reads never
-// share pooled scratch.
+// share pooled scratch. At budget 4 the series halve while the readers
+// run, and the optimizers attach and faults land, adding label sets,
+// so the readers start renders over and rebuild label text while the
+// other reader may still be writing from the old ones.
 func TestObsPlaneScrapeWhileAdvancing(t *testing.T) {
 	cfg := testConfig(4, 2)
+	cfg.SeriesBudget = 4
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	h := Handler(f)
+	labelSets := func() int {
+		n := 0
+		for _, lr := range f.Registries() {
+			for _, fam := range lr.Registry.Snapshot() {
+				n += len(fam.Samples)
+			}
+		}
+		return n
+	}
+	sets, stride := labelSets(), f.plane.fleet[0].Stride()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -374,6 +406,12 @@ func TestObsPlaneScrapeWhileAdvancing(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if got := labelSets(); got <= sets {
+		t.Errorf("no label set was added while the readers ran (%d before, %d after)", sets, got)
+	}
+	if got := f.plane.fleet[0].Stride(); got < 4*stride {
+		t.Errorf("the series halved fewer than twice while the readers ran (stride %d, then %d)", stride, got)
+	}
 	if _, err := f.Run(); err != nil {
 		t.Fatalf("Run after manual epochs: %v", err)
 	}

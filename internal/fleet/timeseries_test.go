@@ -2,10 +2,14 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -62,12 +66,13 @@ func checkTimeSeriesBodies(t *testing.T, f *Fleet, at string) {
 // whose formatting has special cases, and non-finite values, which
 // must produce the oracle's encode-error body — the first one in
 // document order names the error, so a drill-down that cuts it away
-// reports the next.
+// reports the next. A NaN a later halving folds away must stop failing
+// the body once it is gone, although a read rendered the series while
+// it was there.
 func TestTimeSeriesBodyEdgeCases(t *testing.T) {
-	spec := obs.FleetSpecs()[0].Name
-	// appendTo appends vals to tenant i's first series (i < 0: the
+	// appendTo appends vals to tenant i's series spec (i < 0: the
 	// fleet's), one simulated hour apart after the last barrier.
-	appendTo := func(f *Fleet, i int, vals ...float64) {
+	appendTo := func(f *Fleet, i int, spec string, vals ...float64) {
 		s := f.plane.fleet[0]
 		if i >= 0 {
 			s = f.tenants[i].rec.Series(spec)
@@ -76,30 +81,52 @@ func TestTimeSeriesBodyEdgeCases(t *testing.T) {
 			s.Append(f.plane.now.Add(time.Duration(k+1)*time.Hour), v)
 		}
 	}
+	queries := obs.FleetSpecs()[0].Name
 	edge := []float64{0, math.Copysign(0, -1), 5e-324, 1e-7, 1e-6, 1e21, math.MaxFloat64, -math.MaxFloat64}
 	cases := []struct {
 		name   string
 		budget int
 		epochs int
-		inject func(f *Fleet)
+		inject func(t *testing.T, f *Fleet)
 	}{
 		{name: "before epoch 1", epochs: 0},
 		{name: "pending buckets", budget: 4, epochs: 5},
-		{name: "edge values", epochs: 1, inject: func(f *Fleet) {
-			appendTo(f, -1, edge...)
-			appendTo(f, 1, edge...)
+		{name: "edge values", epochs: 1, inject: func(_ *testing.T, f *Fleet) {
+			appendTo(f, -1, queries, edge...)
+			appendTo(f, 1, queries, edge...)
 		}},
-		{name: "NaN", epochs: 1, inject: func(f *Fleet) { appendTo(f, 2, 1, math.NaN()) }},
-		{name: "+Inf", epochs: 1, inject: func(f *Fleet) { appendTo(f, 0, math.Inf(1)) }},
-		{name: "-Inf", epochs: 1, inject: func(f *Fleet) { appendTo(f, 1, math.Inf(-1)) }},
-		{name: "first non-finite wins", epochs: 2, inject: func(f *Fleet) {
-			appendTo(f, 2, math.NaN())
-			appendTo(f, 1, math.Inf(-1))
-			appendTo(f, 0, 1, math.Inf(1))
+		{name: "NaN", epochs: 1, inject: func(_ *testing.T, f *Fleet) { appendTo(f, 2, queries, 1, math.NaN()) }},
+		{name: "+Inf", epochs: 1, inject: func(_ *testing.T, f *Fleet) { appendTo(f, 0, queries, math.Inf(1)) }},
+		{name: "-Inf", epochs: 1, inject: func(_ *testing.T, f *Fleet) { appendTo(f, 1, queries, math.Inf(-1)) }},
+		{name: "first non-finite wins", epochs: 2, inject: func(_ *testing.T, f *Fleet) {
+			appendTo(f, 2, queries, math.NaN())
+			appendTo(f, 1, queries, math.Inf(-1))
+			appendTo(f, 0, queries, 1, math.Inf(1))
 		}},
-		{name: "fleet series non-finite", epochs: 1, inject: func(f *Fleet) {
-			appendTo(f, 0, math.NaN())
-			appendTo(f, -1, math.Inf(-1))
+		{name: "fleet series non-finite", epochs: 1, inject: func(_ *testing.T, f *Fleet) {
+			appendTo(f, 0, queries, math.NaN())
+			appendTo(f, -1, queries, math.Inf(-1))
+		}},
+		{name: "NaN a halving folds away", budget: 4, epochs: 2, inject: func(t *testing.T, f *Fleet) {
+			checkTimeSeriesBodies(t, f, "before the NaN") // renders every series
+			// Tenant 1's p99 series (AggMax) holds two points; the NaN
+			// is its third and the first of the pair the next sample
+			// completes. The halving then keeps the larger value, and
+			// NaN > x is false, so max(NaN, x) is x.
+			appendTo(f, 1, obs.SeriesP99Seconds, math.NaN())
+			checkTimeSeriesBodies(t, f, "NaN retained")
+			if body := timeSeriesOracle(f, -1).Body.String(); !strings.Contains(body, "encode error") {
+				t.Fatalf("the retained NaN does not fail the oracle's body: %.200s", body)
+			}
+			if err := f.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			if s := f.tenants[1].rec.Series(obs.SeriesP99Seconds); s.Stride() != 2 {
+				t.Fatalf("p99 series stride %d after the fourth sample, want 2", s.Stride())
+			}
+			if body := timeSeriesOracle(f, -1).Body.String(); strings.Contains(body, "encode error") {
+				t.Fatalf("the halving kept the NaN: %.200s", body)
+			}
 		}},
 	}
 	for _, tc := range cases {
@@ -117,7 +144,7 @@ func TestTimeSeriesBodyEdgeCases(t *testing.T) {
 				}
 			}
 			if tc.inject != nil {
-				tc.inject(f)
+				tc.inject(t, f)
 			}
 			checkTimeSeriesBodies(t, f, tc.name)
 		})
@@ -183,14 +210,21 @@ func TestTimeSeriesStalledClient(t *testing.T) {
 }
 
 // TestTimeSeriesAllocsFlat: a full /fleet/timeseries read allocates
-// the same at 64 tenants as at 4. The series copy and the render
-// buffer come from a pool, so a warm read allocates only what the mux
-// and the response header cost.
+// the same at 64 tenants as at 4, both back to back and after an epoch
+// that adds a point to every series without halving it. The copy
+// and the write buffer come from a pool, and a render keeps room for
+// the points its series can retain before the next halving, so a warm
+// read allocates only what the mux and the response header cost.
 func TestTimeSeriesAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation accounting")
 	}
-	allocs := func(tenants int) float64 {
+	var ms runtime.MemStats
+	mallocs := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	allocs := func(tenants int) (warm, afterEpoch float64) {
 		f, err := New(testConfig(tenants, 2))
 		if err != nil {
 			t.Fatal(err)
@@ -204,15 +238,126 @@ func TestTimeSeriesAllocsFlat(t *testing.T) {
 		h := Handler(f)
 		req := httptest.NewRequest("GET", "/fleet/timeseries", nil)
 		w := &bufferResponse{header: http.Header{}}
-		h.ServeHTTP(w, req) // grow the buffer and the pooled scratch to this fleet's size
-		return testing.AllocsPerRun(20, func() {
+		h.ServeHTTP(w, req) // render every series and grow the pooled scratch to this fleet's size
+		warm = testing.AllocsPerRun(20, func() {
 			w.body.Reset()
 			h.ServeHTTP(w, req)
 		})
+		// A collection during an epoch would empty the pool, and a read
+		// on another P than the last would miss its private slot; either
+		// would bill the pooled scratch's regrowth to the read.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		const epochs = 3
+		var n uint64
+		for e := 0; e < epochs; e++ {
+			if err := f.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			stride := f.plane.fleet[0].Stride()
+			w.body.Reset()
+			before := mallocs()
+			h.ServeHTTP(w, req)
+			n += mallocs() - before
+			if stride != 1 {
+				t.Fatalf("the fleet's series halved by epoch %d: the budget no longer leaves room", f.Epoch())
+			}
+		}
+		return warm, float64(n) / epochs
 	}
-	small, big := allocs(4), allocs(64)
+	small, smallEpoch := allocs(4)
+	big, bigEpoch := allocs(64)
 	if big > small+2 {
 		t.Errorf("a full read allocates %.0f objects at 64 tenants, %.0f at 4: allocations grow with the fleet", big, small)
 	}
-	t.Logf("allocs per full read: %.0f at 4 tenants, %.0f at 64", small, big)
+	if bigEpoch > smallEpoch+2 {
+		t.Errorf("a full read after an epoch allocates %.1f objects at 64 tenants, %.1f at 4: catching the series up allocates per series",
+			bigEpoch, smallEpoch)
+	}
+	t.Logf("allocs per full read: %.0f at 4 tenants, %.0f at 64; after an epoch %.1f and %.1f", small, big, smallEpoch, bigEpoch)
+}
+
+// TestTimeSeriesReportsEffectiveBudget: the payload's budget is the one
+// the series keep. NewSeries raises a budget below 4 to 4 and an odd one
+// to the next even, so a fleet configured with SeriesBudget 1 keeps up
+// to 4 points a series and must say 4. At each budget, through halvings,
+// the streamed body equals the oracle, no series holds more points than
+// the reported budget, and the replay command keeps the configured
+// budget, the flag value that rebuilds the tenant.
+func TestTimeSeriesReportsEffectiveBudget(t *testing.T) {
+	for _, tc := range []struct{ configured, effective int }{{1, 4}, {5, 6}, {64, 64}} {
+		cfg := testConfig(2, 1)
+		cfg.SeriesBudget = tc.configured
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		for e := 0; e < 9; e++ {
+			if err := f.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			checkTimeSeriesBodies(t, f, fmt.Sprintf("budget %d, epoch %d", tc.configured, f.Epoch()))
+		}
+		ts := f.TimeSeries()
+		if ts.Budget != tc.effective {
+			t.Errorf("SeriesBudget %d: payload budget %d, the series keep %d", tc.configured, ts.Budget, tc.effective)
+		}
+		all := ts.Fleet
+		for _, row := range ts.PerTenant {
+			all = append(all, row.Series...)
+		}
+		for _, d := range all {
+			if len(d.Points) > ts.Budget {
+				t.Errorf("SeriesBudget %d: series %s holds %d points, more than the reported budget %d",
+					tc.configured, d.Name, len(d.Points), ts.Budget)
+			}
+		}
+		flag := fmt.Sprintf(" -series-budget %d ", tc.configured)
+		if replay := f.SLOStatus().PerTenant[0].Replay; strings.Contains(replay, flag) != (tc.configured != defaultSeriesBudget) {
+			t.Errorf("SeriesBudget %d: replay command %q", tc.configured, replay)
+		}
+	}
+}
+
+// TestTimeSeriesHeapFollowsPoints: the first read renders every series
+// with room behind its points for more, never for more points than it
+// holds, so what the read allocates follows the points the series
+// retain, not the configured budget. At SeriesBudget 1<<14, room for
+// the budget would be some 40 MB for this fleet's 30 series of three
+// points each.
+func TestTimeSeriesHeapFollowsPoints(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation accounting")
+	}
+	cfg := testConfig(2, 1)
+	cfg.SeriesBudget = 1 << 14
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for e := 0; e < 3; e++ {
+		if err := f.RunEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := timeSeriesOracle(f, -1).Body.Bytes()
+	var body bytes.Buffer
+	body.Grow(len(want))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	if err := f.writeTimeSeries(&body, f.tenants); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	allocated := ms.TotalAlloc - before
+	if !bytes.Equal(body.Bytes(), want) {
+		t.Fatalf("body differs from the oracle:\n got: %s\nwant: %s", body.Bytes(), want)
+	}
+	if allocated > 8*uint64(len(want)) {
+		t.Errorf("the first read of a %d-byte body allocated %d bytes", len(want), allocated)
+	}
+	t.Logf("the first read of a %d-byte body allocated %d bytes", len(want), allocated)
 }

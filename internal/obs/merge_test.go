@@ -73,9 +73,12 @@ func faultedHubs(t *testing.T) []obs.LabeledRegistry {
 // TestMergedStreamingMatchesNaive pins the streaming renderer's output
 // byte-for-byte to the naive oracle, across registries with partial
 // family overlap, nil entries, escape-needing label values, and an
-// empty label name (no extra label) — and pins single-registry
-// WritePrometheus, which streams through the same renderer, on real
-// tenant hubs after a fault-injected simulation.
+// empty label name (no extra label); then again after series and a
+// family arrive between scrapes, which the label text the first scrape
+// built does not cover: escape-needing values, keys that sort before
+// every existing one, and histogram series. It also pins
+// single-registry WritePrometheus, which streams through the same
+// renderer, on real tenant hubs after a fault-injected simulation.
 func TestMergedStreamingMatchesNaive(t *testing.T) {
 	regs := mergeTestRegs(5, 7)
 	// Partial overlap: one registry carries an extra family, another an
@@ -84,22 +87,36 @@ func TestMergedStreamingMatchesNaive(t *testing.T) {
 	regs[2].Registry.NewGaugeVec("kwo_gauge", "labeled gauge", "warehouse", "state").
 		With(`nasty"wh\name`+"\nx", "suspended").Set(4.25)
 	regs = append(regs, obs.LabeledRegistry{Label: "tnil", Registry: nil})
-	for _, labelName := range []string{"tenant", ""} {
-		var fast, naive bytes.Buffer
-		if err := obs.WriteMergedPrometheus(&fast, labelName, regs); err != nil {
-			t.Fatalf("streaming (label %q): %v", labelName, err)
-		}
-		if err := obs.WriteMergedPrometheusNaive(&naive, labelName, regs); err != nil {
-			t.Fatalf("naive (label %q): %v", labelName, err)
-		}
-		if !bytes.Equal(fast.Bytes(), naive.Bytes()) {
-			t.Fatalf("label %q: streaming output differs from naive renderer:\n--- streaming ---\n%s\n--- naive ---\n%s",
-				labelName, firstDiff(fast.String(), naive.String()), "")
-		}
-		if _, err := obs.ParseText(bytes.NewReader(fast.Bytes())); labelName != "" && err != nil {
-			t.Fatalf("streamed exposition does not parse strictly: %v", err)
+	compare := func(stage string) {
+		t.Helper()
+		for _, labelName := range []string{"tenant", ""} {
+			var fast, naive bytes.Buffer
+			if err := obs.WriteMergedPrometheus(&fast, labelName, regs); err != nil {
+				t.Fatalf("%s: streaming (label %q): %v", stage, labelName, err)
+			}
+			if err := obs.WriteMergedPrometheusNaive(&naive, labelName, regs); err != nil {
+				t.Fatalf("%s: naive (label %q): %v", stage, labelName, err)
+			}
+			if !bytes.Equal(fast.Bytes(), naive.Bytes()) {
+				t.Fatalf("%s, label %q: streaming output differs from naive renderer:\n%s",
+					stage, labelName, firstDiff(fast.String(), naive.String()))
+			}
+			if _, err := obs.ParseText(bytes.NewReader(fast.Bytes())); labelName != "" && err != nil {
+				t.Fatalf("%s: streamed exposition does not parse strictly: %v", stage, err)
+			}
 		}
 	}
+	compare("first scrape")
+	// "WH_0" and up are the existing keys; "0", "A" and "" sort first.
+	g := regs[0].Registry.NewGaugeVec("kwo_gauge", "labeled gauge", "warehouse", "state")
+	g.With("A", "running").Set(1)
+	g.With("", "esc\\aped\"").Set(2)
+	regs[3].Registry.NewCounterVec("kwo_actions_total", "labeled counter", "kind").With("0\t\u00e9").Add(3)
+	h := regs[4].Registry.NewHistogramVec("kwo_latency_seconds", "latency", obs.ExponentialBuckets(0.1, 2, 6), "warehouse")
+	h.With("0first").Observe(0.3)
+	h.With("new\nline").Observe(9)
+	regs[2].Registry.NewGaugeVec("kwo_added_later", "family registered after a scrape", "warehouse").With("AA").Set(5)
+	compare("after series arrived between scrapes")
 
 	for i, lr := range faultedHubs(t) {
 		var fast, naive bytes.Buffer

@@ -57,7 +57,10 @@ type family struct {
 	labels  []string
 	buckets []float64 // histograms only; upper bounds, +Inf implicit
 	series  map[string]*series
-	order   []string // series keys in first-use order; sorted at render
+	order   []string // series keys in first-use order
+	// text is the family's label text for scrapes, built by the first
+	// scrape that needs it (see familyText); the simulation never does.
+	text *familyText
 }
 
 // series is one (family, label-values) sample set.

@@ -85,6 +85,12 @@ type Series struct {
 	stride int // raw samples folded into one retained point
 	pts    []point
 	pend   point // partial bucket accumulating toward the next point
+
+	// json is the retained points rendered for /fleet/timeseries,
+	// started over by SeriesCopy.Keep after a halving and caught up by
+	// SeriesCopy.Add; Append never touches it. Derived state:
+	// AppendState leaves it out.
+	json *seriesJSON
 }
 
 // NewSeries builds an empty series. budget is the maximum number of
@@ -134,6 +140,11 @@ func (s *Series) halve() {
 
 // Name returns the series name.
 func (s *Series) Name() string { return s.name }
+
+// Budget returns the series' point budget: the one NewSeries was
+// given, raised to at least 4 and to an even number. The series never
+// renders more points than that.
+func (s *Series) Budget() int { return s.budget }
 
 // Agg returns the series' aggregation kind.
 func (s *Series) Agg() Agg { return s.agg }

@@ -249,6 +249,19 @@ func TestSeriesStateCoversEveryField(t *testing.T) {
 	if got := string(build().AppendState(nil)); got != ref {
 		t.Fatal("identically built series append different state")
 	}
+	// The rendered points are derived state: a series a read rendered
+	// appends the same state as one never read.
+	read := build()
+	var c SeriesCopy
+	c.Add(1, read)
+	c.Render()
+	c.Keep()
+	if read.json == nil || read.json.n == 0 {
+		t.Fatal("the copy did not render the series")
+	}
+	if got := string(read.AppendState(nil)); got != ref {
+		t.Error("rendering a series for a read changes its state")
+	}
 	if s := build(); s.pend.n == 0 || s.stride < 2 {
 		t.Fatalf("fixture lost its shape: stride %d, pending %d", s.stride, s.pend.n)
 	}
