@@ -12,7 +12,7 @@
 //	kwo-bench                  # run everything
 //	kwo-bench -fig 4a          # one experiment: 4a 4b 5 6 7 onboarding band fleet ablations
 //	kwo-bench -seed 7 -csv     # different seed; machine-readable rows
-//	kwo-bench -parallel 1      # disable parallelism
+//	GOMAXPROCS=1 kwo-bench     # run sequentially
 //	kwo-bench -bench BENCH_dev.json -rev dev
 //	                           # record wall-times + figure metrics as a
 //	                           # benchio JSON artifact
@@ -36,13 +36,10 @@ func main() {
 	fig := flag.String("fig", "all", "experiment to run: 4a, 4b, 5, 6, 7, onboarding, band, fleet, ablations, all")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	csv := flag.Bool("csv", false, "emit CSV rows instead of tables")
-	parallel := flag.Int("parallel", 0, "max concurrent workers for experiment fan-out (0 = one per CPU, 1 = sequential)")
 	benchOut := flag.String("bench", "", "write a benchio JSON report (wall-times + figure metrics) to this file")
 	goBench := flag.String("gobench", "", "merge records parsed from a 'go test -bench' output file into the -bench report")
 	rev := flag.String("rev", "dev", "revision label recorded in the -bench report")
 	flag.Parse()
-
-	experiments.MaxWorkers = *parallel
 
 	// Each experiment renders its output to a string and reports the
 	// headline metrics for the bench artifact; printing happens after

@@ -92,7 +92,7 @@ func main() {
 	checkpointDir := flag.String("checkpoint-dir", "", "write epoch-aligned crash-recovery checkpoints into this directory")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in epochs (0 = 8; requires -checkpoint-dir)")
 	resume := flag.Bool("resume", false, "resume from the newest checkpoint in -checkpoint-dir instead of starting fresh")
-	alertLog := flag.String("alert-log", "", "append SLO breach/recovery and quarantine alerts to this JSONL file (delivery retries with backoff)")
+	alertLog := flag.String("alert-log", "", "append SLO breach/recovery and quarantine alerts to this JSONL file; a failed write is not retried and makes the exit status non-zero")
 	epochDeadline := flag.Duration("epoch-deadline", 0, "quarantine a tenant whose epoch step exceeds this wall-clock bound (0 = off)")
 	panicTenant := flag.Int("panic-tenant", -1, "arm a panic probe on this tenant index (quarantine demo/testing)")
 	panicEpoch := flag.Int("panic-epoch", 0, "epoch in which armed panic probes fire (0 = attach epoch + 1)")
@@ -153,17 +153,6 @@ func main() {
 	if *panicTenant >= 0 {
 		cfg.PanicTenants = []int{*panicTenant}
 	}
-	if *alertLog != "" {
-		af, err := os.OpenFile(*alertLog, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			log.Fatalf("kwo-fleet: -alert-log: %v", err)
-		}
-		defer af.Close()
-		cfg.AlertSink = &kwo.RetryAlertSink{
-			Sink:  kwo.NewJSONLAlertSink(af),
-			Sleep: time.Sleep,
-		}
-	}
 	if *backends != "" {
 		for _, name := range strings.Split(*backends, ",") {
 			name = strings.TrimSpace(name)
@@ -214,6 +203,14 @@ func main() {
 	wallStart := time.Now()
 	var f *kwo.Fleet
 	var err error
+	var af *os.File
+	if *alertLog != "" {
+		af, err = os.OpenFile(*alertLog, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		if err != nil {
+			log.Fatalf("kwo-fleet: -alert-log: %v", err)
+		}
+		cfg.AlertLog = af
+	}
 	if *resume {
 		if *checkpointDir == "" {
 			log.Fatal("kwo-fleet: -resume requires -checkpoint-dir")
@@ -274,8 +271,25 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "[%d tenants × %d epochs in %v wall-clock]\n",
 		cfg.Tenants, cfg.Epochs, time.Since(wallStart).Round(time.Millisecond))
+	// The fleet writes alerts on epoch barriers only, so the log is
+	// complete once Run returns. Its failures go to stderr and the exit
+	// status, leaving stdout the report alone.
+	alertsOK := true
+	if af != nil {
+		if n := f.SLOStatus().Alerts.SinkErrors; n > 0 {
+			fmt.Fprintf(os.Stderr, "kwo-fleet: -alert-log %s: %d alert writes failed\n", *alertLog, n)
+			alertsOK = false
+		}
+		if err := af.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "kwo-fleet: -alert-log: %v\n", err)
+			alertsOK = false
+		}
+	}
 	if *obsAddr != "" && *obsHold > 0 {
 		fmt.Fprintf(os.Stderr, "[holding ops endpoint for %v]\n", *obsHold)
 		time.Sleep(*obsHold)
+	}
+	if !alertsOK {
+		os.Exit(1)
 	}
 }

@@ -1,7 +1,6 @@
 package kwo
 
 import (
-	"io"
 	"net/http"
 	"time"
 
@@ -49,25 +48,14 @@ type (
 	// FleetAlert is one structured alert event (SLO breach/recovery or
 	// tenant quarantine), sequenced deterministically on the sim clock.
 	FleetAlert = obs.Alert
-	// AlertSink delivers fleet alerts; Send may fail and be retried.
-	AlertSink = obs.AlertSink
-	// MemoryAlertSink captures alerts in memory (tests, embedding).
-	MemoryAlertSink = obs.MemoryAlertSink
-	// JSONLAlertSink writes one deterministic JSON line per alert.
-	JSONLAlertSink = obs.JSONLAlertSink
-	// RetryAlertSink wraps a sink with bounded retry and backoff.
-	RetryAlertSink = obs.RetryAlertSink
 )
 
-// Alert kinds delivered to a FleetConfig.AlertSink.
+// Alert kinds written to a FleetConfig.AlertLog.
 const (
 	AlertSLOBreach   = obs.AlertSLOBreach
 	AlertSLORecovery = obs.AlertSLORecovery
 	AlertQuarantine  = obs.AlertQuarantine
 )
-
-// NewJSONLAlertSink wraps w as a JSON-lines alert sink.
-func NewJSONLAlertSink(w io.Writer) *JSONLAlertSink { return obs.NewJSONLAlertSink(w) }
 
 // Fleet is a provisioned multi-tenant run.
 type Fleet struct {
@@ -139,7 +127,7 @@ func LatestFleetCheckpoint(dir string) (*FleetCheckpoint, string, error) {
 
 // ResumeFleet reconstructs a running fleet from a checkpoint: fresh
 // provision under the merged config, deterministic replay of the
-// checkpointed epochs (alert delivery muted), and verification of the
+// checkpointed epochs (alert log not written), and verification of the
 // replayed state's per-component digests against the checkpoint's.
 // Continuing the resumed fleet produces a report fingerprint
 // byte-identical to an uninterrupted run.

@@ -1,7 +1,9 @@
 package kwo_test
 
 import (
+	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -60,17 +62,34 @@ func TestFleetCloseIdempotent(t *testing.T) {
 	}
 }
 
+// alertLines renders the alerts after epoch as alert-log lines.
+func alertLines(alerts []kwo.FleetAlert, after int) string {
+	var b strings.Builder
+	for _, a := range alerts {
+		if a.Epoch > after {
+			b.WriteString(a.JSON() + "\n")
+		}
+	}
+	return b.String()
+}
+
 // TestFleetCheckpointResumePublicAPI drives the crash-recovery surface
 // exactly as an embedding program would: checkpoints on a cadence,
-// alerts into a memory sink, resume from the latest checkpoint, and a
+// alerts into a log, resume from the latest checkpoint, and a
 // byte-identical final fingerprint.
 func TestFleetCheckpointResumePublicAPI(t *testing.T) {
 	dir := t.TempDir()
 	cfg := smallFleetConfig()
 	cfg.CheckpointDir = dir
 	cfg.CheckpointEvery = 4
-	sink := &kwo.MemoryAlertSink{}
-	cfg.AlertSink = sink
+	// A forced fault plan breaches t00's degraded-time objective at
+	// epoch 2 and a panic probe quarantines t01 at epoch 5: alerts on
+	// both sides of the epoch-4 checkpoint resumed below.
+	cfg.FaultTenants = []int{0}
+	cfg.PanicTenants = []int{1}
+	cfg.PanicEpoch = 5
+	var alertLog bytes.Buffer
+	cfg.AlertLog = &alertLog
 
 	f, err := kwo.NewFleet(cfg)
 	if err != nil {
@@ -82,9 +101,11 @@ func TestFleetCheckpointResumePublicAPI(t *testing.T) {
 	}
 	alerts := f.Alerts()
 	f.Close()
-	if sink.Count(kwo.AlertSLOBreach)+sink.Count(kwo.AlertSLORecovery) != len(alerts) {
-		t.Errorf("sink saw %d+%d alerts, log has %d", sink.Count(kwo.AlertSLOBreach),
-			sink.Count(kwo.AlertSLORecovery), len(alerts))
+	if len(alerts) == 0 {
+		t.Fatal("the run fired no alerts")
+	}
+	if got, want := alertLog.String(), alertLines(alerts, 0); got != want {
+		t.Errorf("alert log:\n%s\nwant the tracker log's lines:\n%s", got, want)
 	}
 
 	cp, path, err := kwo.LatestFleetCheckpoint(dir)
@@ -107,14 +128,14 @@ func TestFleetCheckpointResumePublicAPI(t *testing.T) {
 		t.Fatalf("view alert total = %d, want %d", slo.Alerts.Total, len(alerts))
 	}
 
-	// Resume from a mid-run checkpoint; replay must not re-deliver the
-	// alerts the first process already sent.
+	// Resume from a mid-run checkpoint; replay must not write again the
+	// alerts the first process already wrote.
 	mid, err := kwo.LoadFleetCheckpoint(filepath.Join(dir, "fleet-epoch-000004.ckpt.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resink := &kwo.MemoryAlertSink{}
-	rf, err := kwo.ResumeFleet(mid, kwo.FleetConfig{Opts: cfg.Opts, AlertSink: resink})
+	var relog bytes.Buffer
+	rf, err := kwo.ResumeFleet(mid, kwo.FleetConfig{Opts: cfg.Opts, AlertLog: &relog})
 	if err != nil {
 		t.Fatalf("ResumeFleet: %v", err)
 	}
@@ -129,13 +150,11 @@ func TestFleetCheckpointResumePublicAPI(t *testing.T) {
 	if rep.Fingerprint() != rep2.Fingerprint() {
 		t.Errorf("resumed fingerprint %s != uninterrupted %s", rep2.Fingerprint(), rep.Fingerprint())
 	}
-	for _, a := range resink.Alerts() {
-		if a.Epoch <= 4 {
-			t.Errorf("replayed epoch-%d alert re-delivered after resume: %s", a.Epoch, a.JSON())
-		}
+	if got, want := relog.String(), alertLines(alerts, 4); got != want {
+		t.Errorf("resumed alert log:\n%s\nwant the tracker log's lines after epoch 4:\n%s", got, want)
 	}
 	if got := rf.Alerts(); len(got) != len(alerts) {
-		t.Errorf("resumed alert log has %d entries, want %d (log rebuilt, delivery muted)", len(got), len(alerts))
+		t.Errorf("resumed tracker log has %d entries, want %d (rebuilt by the replay)", len(got), len(alerts))
 	} else {
 		for i := range got {
 			if got[i].JSON() != alerts[i].JSON() {

@@ -17,8 +17,6 @@ import (
 func TestBreakerEventsOpenAndCloseBetweenPolls(t *testing.T) {
 	sched, acct, act := rig(t)
 	hub := obs.NewHub(sched.Now)
-	mem := &obs.MemorySink{}
-	hub.Bus.AddSink(mem)
 	act.SetObs(hub)
 
 	p := noJitter()
@@ -57,10 +55,10 @@ func TestBreakerEventsOpenAndCloseBetweenPolls(t *testing.T) {
 	}
 
 	// The poll-only view missed the whole episode; the events must not.
-	if got := mem.Count(obs.EventBreakerOpened); got != 1 {
+	if got := hub.Bus.KindCount(obs.EventBreakerOpened); got != 1 {
 		t.Fatalf("breaker-opened events = %d, want 1", got)
 	}
-	if got := mem.Count(obs.EventBreakerClosed); got != 1 {
+	if got := hub.Bus.KindCount(obs.EventBreakerClosed); got != 1 {
 		t.Fatalf("breaker-closed events = %d, want 1", got)
 	}
 	if v := hub.BreakerOpen.With("W").Value(); v != 0 {
@@ -71,7 +69,7 @@ func TestBreakerEventsOpenAndCloseBetweenPolls(t *testing.T) {
 	}
 
 	// Ordering sanity: opened strictly before closed, close at open+cooldown.
-	evs := mem.Events()
+	evs := hub.Bus.Recent(obs.DefaultRingSize)
 	var opened, closed *obs.Event
 	for i := range evs {
 		switch evs[i].Kind {

@@ -3,24 +3,17 @@ package experiments
 import (
 	"bytes"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
 func TestRunIndexedOrderAndCompleteness(t *testing.T) {
-	old := MaxWorkers
-	defer func() { MaxWorkers = old }()
-	for _, workers := range []int{1, 2, 7, 0} {
-		MaxWorkers = workers
-		got := RunIndexed(23, func(i int) int { return i * i })
-		if len(got) != 23 {
-			t.Fatalf("workers=%d: got %d results", workers, len(got))
-		}
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
-			}
+	got := RunIndexed(23, func(i int) int { return i * i })
+	if len(got) != 23 {
+		t.Fatalf("got %d results", len(got))
+	}
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
 		}
 	}
 	if got := RunIndexed(0, func(i int) int { return i }); got != nil {
@@ -28,36 +21,15 @@ func TestRunIndexedOrderAndCompleteness(t *testing.T) {
 	}
 }
 
-func TestRunIndexedBoundsConcurrency(t *testing.T) {
-	old := MaxWorkers
-	defer func() { MaxWorkers = old }()
-	MaxWorkers = 3
-	var inFlight, peak atomic.Int64
-	var mu sync.Mutex
-	RunIndexed(50, func(i int) struct{} {
-		n := inFlight.Add(1)
-		mu.Lock()
-		if n > peak.Load() {
-			peak.Store(n)
-		}
-		mu.Unlock()
-		inFlight.Add(-1)
-		return struct{}{}
-	})
-	if p := peak.Load(); p > 3 {
-		t.Fatalf("observed %d concurrent tasks, want ≤ 3", p)
-	}
-}
-
-// scenarioSnapshots runs four independent seeds through the pool and
-// returns each run's full telemetry snapshot.
+// scenarioSnapshots runs four independent seeds on a pool of workers
+// and returns each run's full telemetry snapshot.
 func scenarioSnapshots(t *testing.T, workers int) [][]byte {
 	t.Helper()
-	old := MaxWorkers
-	MaxWorkers = workers
-	defer func() { MaxWorkers = old }()
 	seeds := []int64{11, 12, 13, 14}
-	return RunIndexed(len(seeds), func(i int) []byte {
+	out := make([][]byte, len(seeds))
+	p := NewPool(workers)
+	defer p.Close()
+	p.Run(len(seeds), func(i int) {
 		cfg, gen := oversizedBI(1)
 		run := Scenario{Name: "par-det", Seed: seeds[i], Orig: cfg, Gen: gen,
 			PreDays: 1, KwoDays: 1}.Execute()
@@ -65,8 +37,9 @@ func scenarioSnapshots(t *testing.T, workers int) [][]byte {
 		if err := run.Engine.Store().WriteSnapshot(&buf); err != nil {
 			t.Error(err)
 		}
-		return buf.Bytes()
+		out[i] = buf.Bytes()
 	})
+	return out
 }
 
 // The load-bearing promise of the parallel runner: per-seed results are

@@ -157,18 +157,14 @@ func BenchmarkPoolRound(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolRoundNaive is the spawn-per-round path: RunIndexed
-// starts and closes a fresh pool of 8 goroutines for every round.
+// BenchmarkPoolRoundNaive is the spawn-per-round path: a fresh pool of
+// 8 goroutines is started and closed for every round.
 func BenchmarkPoolRoundNaive(b *testing.B) {
-	old := MaxWorkers
-	defer func() { MaxWorkers = old }()
-	MaxWorkers = 8
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunIndexed(256, func(i int) struct{} {
-			benchFn(i)
-			return struct{}{}
-		})
+		p := NewPool(8)
+		p.Run(256, benchFn)
+		p.Close()
 	}
 }

@@ -22,9 +22,9 @@ package fleet
 // re-running the whole horizon and, critically, cannot drift silently:
 // any divergence (version skew, config mismatch, tampered file) fails
 // loudly at resume time, naming the tenant and component, rather than
-// corrupting the continued run. External alert delivery is muted during
-// replay so a resumed run never re-pages for alerts delivered before
-// the crash.
+// corrupting the continued run. The alert log is not written during
+// replay, so a resumed run never repeats alerts written before the
+// crash.
 
 import (
 	"bytes"
@@ -66,8 +66,8 @@ type Checkpoint struct {
 }
 
 // CheckpointConfig is the serializable, behaviour-affecting subset of
-// Config. Operational knobs (Workers, TopK, CheckpointDir, sinks, the
-// wall clock) deliberately do not appear: none of them influence
+// Config. Operational knobs (Workers, TopK, CheckpointDir, the alert
+// log, the wall clock) deliberately do not appear: none of them influence
 // simulated state, so a resume may freely change them.
 type CheckpointConfig struct {
 	Tenants      int           `json:"tenants"`
@@ -103,7 +103,7 @@ func checkpointConfigOf(c Config) CheckpointConfig {
 }
 
 // Merge overlays the checkpointed behaviour knobs onto base, keeping
-// base's operational knobs (Workers, TopK, CheckpointDir, sinks, Wall).
+// base's operational knobs (Workers, TopK, CheckpointDir, AlertLog, Wall).
 // This is how a resuming process reconstructs the run config from the
 // checkpoint plus its own flags.
 func (cc CheckpointConfig) Merge(base Config) Config {
@@ -212,7 +212,7 @@ func (t *tenant) checkpoint() TenantCheckpoint {
 	tc.Digests["sched"] = digest(fmt.Appendf(nil, "%d %d %d %d %d %t %d %q",
 		t.sched.Now().UnixNano(), t.sched.Steps(), t.sched.Seq(), t.sched.Pending(),
 		t.scheduled, t.cursor == nil, t.wdraws.n, attachErr))
-	tc.Digests["events"] = digest(fmt.Appendf(nil, "%d %s", t.events.n, t.events.Sum()))
+	tc.Digests["events"] = digest(fmt.Appendf(nil, "%d %s", t.hub.Bus.Total(), t.eventsSum()))
 	var bill [2]int64
 	if t.eng != nil {
 		if bs, err := t.eng.BillingPeriodStart(warehouseName); err == nil && !bs.IsZero() {
@@ -388,7 +388,7 @@ func LatestCheckpoint(dir string) (*Checkpoint, string, error) {
 
 // Resume reconstructs a running fleet from a checkpoint: provision a
 // fresh fleet under the merged config, deterministically replay epochs
-// 1..cp.Epoch (external alert delivery muted, watchdog off), and verify
+// 1..cp.Epoch (alert log not written, watchdog off), and verify
 // the replayed state's digests against the checkpoint's. The returned
 // fleet stands exactly where the interrupted one stood — continuing it
 // produces a byte-identical report fingerprint to a run that was never
@@ -419,7 +419,6 @@ func Resume(cp *Checkpoint, base Config) (*Fleet, error) {
 		}
 	}
 	f.replaying = true
-	f.plane.mute = true
 	for f.epoch < cp.Epoch {
 		if err := f.RunEpoch(); err != nil {
 			f.Close()
@@ -427,7 +426,6 @@ func Resume(cp *Checkpoint, base Config) (*Fleet, error) {
 		}
 	}
 	f.replaying = false
-	f.plane.mute = false
 	if err := f.verifyCheckpoint(cp); err != nil {
 		f.Close()
 		return nil, err

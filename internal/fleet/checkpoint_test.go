@@ -56,7 +56,7 @@ func TestCheckpointResumeFingerprintIdentical(t *testing.T) {
 }
 
 // TestResumeDoesNotRewriteReplayedCheckpoints: replayed epochs must not
-// write checkpoint files (or deliver alerts) again — only epochs the
+// write checkpoint files (or alert lines) again — only epochs the
 // resumed fleet genuinely advances through do.
 func TestResumeDoesNotRewriteReplayedCheckpoints(t *testing.T) {
 	dir := t.TempDir()

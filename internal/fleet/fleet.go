@@ -18,6 +18,7 @@ package fleet
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -70,14 +71,15 @@ type Config struct {
 	// retains; when full, the series halves itself by merging adjacent
 	// points (the stride doubles). 0 means 64; must not be negative.
 	SeriesBudget int
-	// AlertSink, when set, receives every SLO breach/recovery and tenant
-	// quarantine alert as it fires on an epoch barrier. Delivery is
-	// best-effort (failures are counted, not fatal) and muted during
-	// checkpoint replay so a resumed run never re-delivers alerts from
-	// before the crash. Alerts themselves are deterministic either way —
-	// the replay rebuilds the tracker log behind /fleet/slo, and the
-	// checkpoint's alerts digest checks it.
-	AlertSink obs.AlertSink
+	// AlertLog, when set, receives every SLO breach/recovery and tenant
+	// quarantine alert fired on an epoch barrier as its JSON line
+	// (obs.Alert.JSON and a newline), one Write per alert. A failed
+	// Write is counted in /fleet/slo's sink_errors and not retried.
+	// Checkpoint replay writes nothing, so a resumed run never repeats
+	// lines from before the crash. The alerts themselves are
+	// deterministic either way: the replay rebuilds the tracker log
+	// behind /fleet/slo, and the checkpoint's alerts digest checks it.
+	AlertLog io.Writer
 	// CheckpointDir, when set, makes the fleet write an epoch-aligned
 	// crash-recovery checkpoint (atomically, temp file + rename) every
 	// CheckpointEvery epochs and at the final epoch. Resume restores a
@@ -214,7 +216,7 @@ type Fleet struct {
 	closeOnce sync.Once
 	// replaying is set while Resume re-executes checkpointed epochs: the
 	// watchdog is off (replay wall-clock bears no relation to the
-	// original run's) and external alert delivery is muted.
+	// original run's) and the alert log is not written.
 	replaying bool
 }
 
@@ -315,8 +317,17 @@ func (f *Fleet) RunEpoch() error {
 	// Epoch-boundary observation: per-tenant recorder samples plus the
 	// fleet-aggregate fold, sequential in tenant-index order so the
 	// series are byte-identical for any worker count. SLO burn alerting
-	// and quarantine announcements ride the same barrier.
-	f.plane.record(target, f.epoch, f.tenants)
+	// and quarantine announcements ride the same barrier; their log
+	// lines are written after the plane lock is released, so scrapes
+	// never wait on a slow log.
+	fired := f.plane.record(target, f.epoch, f.tenants)
+	if f.cfg.AlertLog != nil && !f.replaying {
+		for _, a := range fired {
+			if _, err := io.WriteString(f.cfg.AlertLog, a.JSON()+"\n"); err != nil {
+				f.plane.sinkErrs.Add(1)
+			}
+		}
+	}
 	if f.cfg.CheckpointDir != "" && !f.replaying &&
 		(f.epoch%f.cfg.CheckpointEvery == 0 || f.epoch == f.cfg.Epochs) {
 		if err := f.WriteCheckpoint(); err != nil {

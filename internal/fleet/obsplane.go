@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kwo/internal/obs"
@@ -36,15 +37,11 @@ type obsPlane struct {
 	now    time.Time
 	done   bool
 
-	// The alert plane. The tracker is the deterministic part — it runs
-	// on the simulation clock, so a checkpoint replay rebuilds its log.
-	// The sink is external delivery (JSONL file, operator pager); mute
-	// turns delivery off during checkpoint replay so a resumed run does
-	// not re-page for alerts already delivered before the crash.
+	// The alert plane. The tracker runs on the simulation clock, so a
+	// checkpoint replay rebuilds its log. sinkErrs counts failed
+	// Config.AlertLog writes, which RunEpoch makes with mu released.
 	tracker  *obs.AlertTracker
-	sink     obs.AlertSink
-	mute     bool
-	sinkErrs int
+	sinkErrs atomic.Int64
 }
 
 func newObsPlane(cfg Config, start time.Time) *obsPlane {
@@ -52,7 +49,6 @@ func newObsPlane(cfg Config, start time.Time) *obsPlane {
 		specs:   obs.FleetSpecs(),
 		now:     start,
 		tracker: obs.NewAlertTracker(),
-		sink:    cfg.AlertSink,
 	}
 	p.fleet = make([]*obs.Series, len(p.specs))
 	for i, sp := range p.specs {
@@ -64,28 +60,18 @@ func newObsPlane(cfg Config, start time.Time) *obsPlane {
 	return p
 }
 
-// deliver sends one alert to the external sink (if any, and not muted
-// by replay). Delivery failures are counted, never fatal: the tracker's
-// log is the durable record, the sink is best-effort notification.
-func (p *obsPlane) deliver(a obs.Alert) {
-	if p.mute || p.sink == nil {
-		return
-	}
-	if err := p.sink.Send(a); err != nil {
-		p.sinkErrs++
-	}
-}
-
 // record takes the epoch-boundary sample: every tenant's in index order
 // (each tenant appends to its own series, re-evaluates its objectives
 // and returns the raw per-spec values), then the cross-tenant aggregate
 // under each spec's CrossAgg into the fleet series. Sequential by
 // design — the sample is a pure reduction over already-advanced
 // tenants, cheap next to an epoch of simulation, and a fixed order
-// keeps float accumulation deterministic.
-func (p *obsPlane) record(t time.Time, epoch int, tenants []*tenant) {
+// keeps float accumulation deterministic. It returns the alerts the
+// barrier fired, in sequence order.
+func (p *obsPlane) record(t time.Time, epoch int, tenants []*tenant) []obs.Alert {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	var fired []obs.Alert
 	agg := make([]float64, len(p.specs))
 	seen := false
 	active := 0
@@ -96,7 +82,7 @@ func (p *obsPlane) record(t time.Time, epoch int, tenants []*tenant) {
 			// quarantine exactly once, on the first barrier after it.
 			if !tn.qAnnounced {
 				tn.qAnnounced = true
-				p.deliver(p.tracker.Quarantine(t, tn.qEpoch, tn.id, tn.qReason))
+				fired = append(fired, p.tracker.Quarantine(t, tn.qEpoch, tn.id, tn.qReason))
 			}
 			continue
 		}
@@ -131,12 +117,11 @@ func (p *obsPlane) record(t time.Time, epoch int, tenants []*tenant) {
 		if tn.quarantined() {
 			continue
 		}
-		for _, a := range p.tracker.Observe(t, epoch, tn.id, tn.slo) {
-			p.deliver(a)
-		}
+		fired = append(fired, p.tracker.Observe(t, epoch, tn.id, tn.slo)...)
 	}
 	p.epoch = epoch
 	p.now = t
+	return fired
 }
 
 func (p *obsPlane) setDone() {
@@ -455,7 +440,7 @@ func (p *obsPlane) alertSummary() AlertSummary {
 	log := p.tracker.Log()
 	sum := AlertSummary{
 		Total:      p.tracker.Seq(),
-		SinkErrors: p.sinkErrs,
+		SinkErrors: int(p.sinkErrs.Load()),
 		Firing:     p.tracker.FiringKeys(),
 	}
 	for _, a := range log {

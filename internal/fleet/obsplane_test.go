@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
@@ -359,6 +360,10 @@ func TestHandlerFleetEndpoints(t *testing.T) {
 func TestObsPlaneScrapeWhileAdvancing(t *testing.T) {
 	cfg := testConfig(4, 2)
 	cfg.SeriesBudget = 4
+	// The panic probe fires an alert whose failed write updates
+	// sink_errors while the readers run.
+	cfg.PanicTenants = []int{1}
+	cfg.AlertLog = &failingLog{failures: math.MaxInt}
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -417,6 +422,9 @@ func TestObsPlaneScrapeWhileAdvancing(t *testing.T) {
 	}
 	if k := f.KPIs(); !k.Done || k.Epoch != cfg.Epochs {
 		t.Errorf("final kpis done=%t epoch=%d, want true %d", k.Done, k.Epoch, cfg.Epochs)
+	}
+	if n := f.SLOStatus().Alerts.SinkErrors; n == 0 {
+		t.Error("sink_errors = 0 after failed alert writes")
 	}
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,9 +24,15 @@ func TestQuarantineIsolation(t *testing.T) {
 	cfg := clean
 	cfg.PanicTenants = []int{2}
 	cfg.PanicEpoch = 4
-	sink := &obs.MemoryAlertSink{}
-	cfg.AlertSink = sink
-	rep := runFleet(t, cfg)
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rep, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if rep.QuarantinedTenants != 1 {
 		t.Fatalf("QuarantinedTenants = %d, want 1", rep.QuarantinedTenants)
@@ -48,13 +55,124 @@ func TestQuarantineIsolation(t *testing.T) {
 			t.Errorf("tenant %s fingerprints perturbed by t02's quarantine", k.Tenant)
 		}
 	}
-	if n := sink.Count(obs.AlertQuarantine); n != 1 {
-		t.Errorf("quarantine alerts delivered = %d, want exactly 1 (announced once)", n)
+	quarantines := 0
+	for _, a := range f.Alerts() {
+		if a.Kind == obs.AlertQuarantine {
+			quarantines++
+		}
+	}
+	if quarantines != 1 {
+		t.Errorf("quarantine alerts = %d, want exactly 1 (announced once)", quarantines)
 	}
 	// The quarantined tenant leads the regression ranking: a frozen
 	// tenant is the worst thing on the board.
 	if len(rep.TopRegressed) == 0 || !rep.TopRegressed[0].Quarantined {
 		t.Errorf("TopRegressed does not lead with the quarantined tenant")
+	}
+}
+
+// alertConfig is a fleet that fires alerts on several barriers: t00's
+// forced fault plan breaches an objective and t02's panic probe is
+// quarantined.
+func alertConfig() Config {
+	cfg := testConfig(4, 2)
+	cfg.FaultTenants = []int{0}
+	cfg.PanicTenants = []int{2}
+	return cfg
+}
+
+// alertLines renders alerts as alert-log lines.
+func alertLines(alerts []obs.Alert) string {
+	var b strings.Builder
+	for _, a := range alerts {
+		b.WriteString(a.JSON() + "\n")
+	}
+	return b.String()
+}
+
+// lockProbeLog is an alert log that records, on every line, whether
+// the plane lock was held while the fleet wrote it.
+type lockProbeLog struct {
+	f           *Fleet
+	lines, held int
+}
+
+func (l *lockProbeLog) Write(p []byte) (int, error) {
+	l.lines++
+	if l.f.plane.mu.TryLock() {
+		l.f.plane.mu.Unlock()
+	} else {
+		l.held++
+	}
+	return len(p), nil
+}
+
+// TestAlertLogWrittenOutsidePlaneLock: the fleet writes every alert
+// line with the plane lock released, so a slow log never holds up a
+// scrape.
+func TestAlertLogWrittenOutsidePlaneLock(t *testing.T) {
+	cfg := alertConfig()
+	probe := &lockProbeLog{}
+	cfg.AlertLog = probe
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	probe.f = f
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(f.Alerts()); n < 2 || probe.lines != n {
+		t.Fatalf("alert log got %d lines for %d alerts, want one each and at least 2", probe.lines, n)
+	}
+	if probe.held != 0 {
+		t.Errorf("the plane lock was held during %d of %d alert writes", probe.held, probe.lines)
+	}
+}
+
+// failingLog is an alert log whose first failures writes fail; it
+// keeps the lines of the others.
+type failingLog struct {
+	failures, writes int
+	lines            strings.Builder
+}
+
+func (l *failingLog) Write(p []byte) (int, error) {
+	l.writes++
+	if l.writes <= l.failures {
+		return 0, errors.New("alert log down")
+	}
+	return l.lines.Write(p)
+}
+
+// TestAlertLogFailedWriteCountedNotRetried: a failed write is counted
+// in sink_errors and not retried, the next alert is still written, and
+// the tracker log keeps every alert.
+func TestAlertLogFailedWriteCountedNotRetried(t *testing.T) {
+	cfg := alertConfig()
+	out := &failingLog{failures: 1}
+	cfg.AlertLog = out
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	alerts := f.Alerts()
+	if len(alerts) < 2 {
+		t.Fatalf("the run fired %d alerts, want at least 2", len(alerts))
+	}
+	if n := f.SLOStatus().Alerts.SinkErrors; n != 1 {
+		t.Errorf("sink_errors = %d, want 1", n)
+	}
+	if out.writes != len(alerts) {
+		t.Errorf("alert log saw %d writes for %d alerts, want one each", out.writes, len(alerts))
+	}
+	if got, want := out.lines.String(), alertLines(alerts[1:]); got != want {
+		t.Errorf("alert log:\n%s\nwant every alert but the first:\n%s", got, want)
 	}
 }
 

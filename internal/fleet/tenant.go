@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"io"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -173,28 +172,6 @@ func forcedFaultPlan(outageFrom, outageTo time.Time) *cdw.FaultPlan {
 	}
 }
 
-// eventHasher is an obs sink folding every trace event's deterministic
-// JSON line into a running SHA-256 — the per-tenant ObsEvents
-// fingerprint, without buffering the whole stream.
-type eventHasher struct {
-	h hash.Hash
-	n uint64
-}
-
-func newEventHasher() *eventHasher { return &eventHasher{h: sha256.New()} }
-
-// Emit implements obs.Sink. Each tenant's bus emits from at most one
-// fleet worker at a time (epoch barriers order cross-worker handoffs),
-// so no extra locking is needed.
-func (e *eventHasher) Emit(ev obs.Event) {
-	io.WriteString(e.h, ev.JSON())
-	e.h.Write([]byte{'\n'})
-	e.n++
-}
-
-// Sum returns the hex fingerprint of everything hashed so far.
-func (e *eventHasher) Sum() string { return hex.EncodeToString(e.h.Sum(nil)) }
-
 // countingSource wraps a rand.Source64 and counts draws — the RNG
 // stream position a checkpoint records. It implements both Int63 and
 // Uint64 by pure delegation, so rand.Rand takes the same fast Source64
@@ -231,7 +208,7 @@ type tenant struct {
 	store  *telemetry.Store
 	hub    *obs.Hub
 	eng    *core.Engine
-	events *eventHasher
+	events hash.Hash // SHA-256 of the bus output: every event's JSON line
 	rec    *obs.Recorder
 	objs   []obs.Objective
 	slo    []obs.Verdict
@@ -288,8 +265,8 @@ func newTenant(idx int, id string, seed int64, cfg Config) *tenant {
 	t.acct = cdw.NewAccountWithBackend(t.sched, cfg.Params, bk)
 	t.store = telemetry.NewStore()
 	t.hub = obs.NewHub(t.sched.Now)
-	t.events = newEventHasher()
-	t.hub.Bus.AddSink(t.events)
+	t.events = sha256.New()
+	t.hub.Bus.SetOutput(t.events)
 	t.acct.SetObs(t.hub)
 	t.store.SetObs(t.hub)
 	t.acct.Subscribe(t.store)
@@ -474,6 +451,11 @@ func (t *tenant) finalize() {
 	obs.PublishSLO(t.hub, t.slo)
 }
 
+// eventsSum returns the hex SHA-256 of every trace event's JSON line so
+// far: the tenant's events fingerprint. Read it on an epoch barrier,
+// when no worker is emitting.
+func (t *tenant) eventsSum() string { return hex.EncodeToString(t.events.Sum(nil)) }
+
 // kpi rolls the tenant's run up into one report row. A quarantined
 // tenant reports the KPI frozen at its quarantine epoch — its series,
 // fingerprints, and SLO verdicts stop evolving the moment it left the
@@ -528,7 +510,7 @@ func (t *tenant) kpiNow() TenantKPI {
 	k.SLOWorstBurn = obs.WorstBurn(k.SLO)
 	k.Faults = t.acct.FaultCounts()
 	k.ObsEvents = t.hub.Bus.Total()
-	k.EventsFingerprint = t.events.Sum()
+	k.EventsFingerprint = t.eventsSum()
 	if snap, err := t.store.SnapshotBytes(); err == nil {
 		sum := sha256.Sum256(snap)
 		k.SnapshotFingerprint = hex.EncodeToString(sum[:])

@@ -7,15 +7,13 @@ package obs
 // quarantine alert when the fleet freezes a tenant out. Alerts are
 // evaluated on the simulation clock and sequenced deterministically, so
 // two runs of the same seed produce byte-identical alert logs; only
-// delivery (sinks, retries) touches the outside world.
+// writing the log out touches the outside world.
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -84,106 +82,6 @@ func (a Alert) String() string {
 		fmt.Fprintf(&b, " detail=%q", a.Detail)
 	}
 	return b.String()
-}
-
-// AlertSink delivers alerts to the outside world. Unlike the trace
-// bus's Sink, Send returns an error so callers can retry: alerts are
-// the one obs output whose loss an operator would care about.
-type AlertSink interface {
-	Send(Alert) error
-}
-
-// MemoryAlertSink captures alerts in memory, for tests and the live
-// /fleet/slo payload.
-type MemoryAlertSink struct {
-	mu     sync.Mutex
-	alerts []Alert
-}
-
-// Send implements AlertSink; it never fails.
-func (m *MemoryAlertSink) Send(a Alert) error {
-	m.mu.Lock()
-	m.alerts = append(m.alerts, a)
-	m.mu.Unlock()
-	return nil
-}
-
-// Alerts returns a copy of everything captured so far.
-func (m *MemoryAlertSink) Alerts() []Alert {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Alert(nil), m.alerts...)
-}
-
-// Count returns how many alerts of the kind were captured.
-func (m *MemoryAlertSink) Count(kind AlertKind) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, a := range m.alerts {
-		if a.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-// JSONLAlertSink writes one deterministic JSON line per alert.
-type JSONLAlertSink struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewJSONLAlertSink wraps w.
-func NewJSONLAlertSink(w io.Writer) *JSONLAlertSink { return &JSONLAlertSink{w: w} }
-
-// Send implements AlertSink, returning the write error so a RetrySink
-// (or the caller) can retry the line.
-func (j *JSONLAlertSink) Send(a Alert) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_, err := io.WriteString(j.w, a.JSON()+"\n")
-	return err
-}
-
-// RetryAlertSink wraps a sink with bounded retry and exponential
-// backoff. The Sleep hook is injectable so simulated/deterministic
-// callers retry without real waiting; nil means no sleep at all.
-type RetryAlertSink struct {
-	// Sink is the delegate that actually delivers.
-	Sink AlertSink
-	// Attempts is the total number of tries per alert (default 3).
-	Attempts int
-	// Backoff is the wait before the first retry; it doubles each
-	// further retry (default 10ms).
-	Backoff time.Duration
-	// Sleep waits between attempts. nil skips waiting entirely, which
-	// keeps deterministic harnesses free of wall-clock time.
-	Sleep func(time.Duration)
-}
-
-// Send tries the delegate up to Attempts times, backing off between
-// tries, and returns the last error if every attempt failed.
-func (r *RetryAlertSink) Send(a Alert) error {
-	attempts := r.Attempts
-	if attempts <= 0 {
-		attempts = 3
-	}
-	backoff := r.Backoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 && r.Sleep != nil {
-			r.Sleep(backoff)
-			backoff *= 2
-		}
-		if err = r.Sink.Send(a); err == nil {
-			return nil
-		}
-	}
-	return fmt.Errorf("obs: alert sink failed after %d attempts: %w", attempts, err)
 }
 
 // AlertTracker turns per-tenant SLO verdicts into deduplicated alerts:

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -107,65 +106,11 @@ func TestAlertNoDataFlipRecovers(t *testing.T) {
 	}
 }
 
-// flakySink fails its first `failures` sends, then delivers.
-type flakySink struct {
-	failures int
-	calls    int
-	got      []Alert
-}
-
-func (s *flakySink) Send(a Alert) error {
-	s.calls++
-	if s.calls <= s.failures {
-		return errors.New("sink down")
-	}
-	s.got = append(s.got, a)
-	return nil
-}
-
-func TestRetryAlertSinkBackoff(t *testing.T) {
-	var slept []time.Duration
-	fs := &flakySink{failures: 2}
-	r := &RetryAlertSink{Sink: fs, Sleep: func(d time.Duration) { slept = append(slept, d) }}
-	if err := r.Send(Alert{Seq: 1}); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if fs.calls != 3 || len(fs.got) != 1 {
-		t.Fatalf("delegate saw %d calls, delivered %d, want 3 / 1", fs.calls, len(fs.got))
-	}
-	// Default backoff 10ms, doubling.
-	if len(slept) != 2 || slept[0] != 10*time.Millisecond || slept[1] != 20*time.Millisecond {
-		t.Fatalf("backoffs = %v, want [10ms 20ms]", slept)
-	}
-}
-
-func TestRetryAlertSinkExhaustion(t *testing.T) {
-	fs := &flakySink{failures: 99}
-	r := &RetryAlertSink{Sink: fs, Attempts: 2, Backoff: time.Millisecond, Sleep: func(time.Duration) {}}
-	err := r.Send(Alert{Seq: 1})
-	if err == nil || !strings.Contains(err.Error(), "after 2 attempts") {
-		t.Fatalf("err = %v, want failure after 2 attempts", err)
-	}
-	if fs.calls != 2 {
-		t.Fatalf("delegate saw %d calls, want 2", fs.calls)
-	}
-}
-
-func TestRetryAlertSinkNilSleep(t *testing.T) {
-	// nil Sleep must not panic — it means "retry without waiting".
-	fs := &flakySink{failures: 1}
-	r := &RetryAlertSink{Sink: fs}
-	if err := r.Send(Alert{Seq: 1}); err != nil {
-		t.Fatalf("Send with nil Sleep: %v", err)
-	}
-}
-
-// TestJSONLAlertSinkDeterministic pins the on-disk line format byte for
+// TestAlertJSONDeterministic pins the alert log's line format byte for
 // byte: fixed field order, RFC3339 times, shortest round-trip floats,
 // zero fields omitted.
-func TestJSONLAlertSinkDeterministic(t *testing.T) {
+func TestAlertJSONDeterministic(t *testing.T) {
 	var b strings.Builder
-	s := NewJSONLAlertSink(&b)
 	alerts := []Alert{
 		{Seq: 1, Time: t0, Kind: AlertSLOBreach, Tenant: "t00", Epoch: 3,
 			Objective: "p99-band", Burn: 1.5, Value: 0.3, Target: 0.2, Detail: "2/10 epochs outside 3x band"},
@@ -173,29 +118,12 @@ func TestJSONLAlertSinkDeterministic(t *testing.T) {
 			Detail: "panic: boom"},
 	}
 	for _, a := range alerts {
-		if err := s.Send(a); err != nil {
-			t.Fatalf("Send: %v", err)
-		}
+		b.WriteString(a.JSON() + "\n")
 	}
 	want := `{"seq":1,"time":"2023-01-01T00:00:00Z","kind":"slo-breach","tenant":"t00","epoch":3,"objective":"p99-band","burn":1.5,"value":0.3,"target":0.2,"detail":"2/10 epochs outside 3x band"}` + "\n" +
 		`{"seq":2,"time":"2023-01-01T01:00:00Z","kind":"tenant-quarantined","tenant":"t01","epoch":4,"detail":"panic: boom"}` + "\n"
 	if b.String() != want {
 		t.Fatalf("JSONL output:\n%s\nwant:\n%s", b.String(), want)
-	}
-}
-
-func TestMemoryAlertSink(t *testing.T) {
-	m := &MemoryAlertSink{}
-	for _, k := range []AlertKind{AlertSLOBreach, AlertSLOBreach, AlertSLORecovery} {
-		if err := m.Send(Alert{Kind: k}); err != nil {
-			t.Fatalf("Send: %v", err)
-		}
-	}
-	if n := m.Count(AlertSLOBreach); n != 2 {
-		t.Fatalf("Count(breach) = %d, want 2", n)
-	}
-	if got := m.Alerts(); len(got) != 3 {
-		t.Fatalf("Alerts() = %d entries, want 3", len(got))
 	}
 }
 

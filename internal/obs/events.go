@@ -100,37 +100,36 @@ func (e Event) String() string {
 	return b.String()
 }
 
-// appendJSON renders the event as one deterministic JSON object
-// (fixed field order, attrs in emission order).
-func (e Event) appendJSON(b *strings.Builder) {
-	fmt.Fprintf(b, `{"seq":%d,"time":%q,"kind":%q`, e.Seq, e.Time.Format(time.RFC3339Nano), e.Kind)
+// appendJSON appends the event as one deterministic JSON object
+// (fixed field order, attrs in emission order) to b.
+func (e Event) appendJSON(b []byte) []byte {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendUint(b, e.Seq, 10)
+	b = append(b, `,"time":"`...)
+	b = e.Time.AppendFormat(b, time.RFC3339Nano)
+	b = append(b, `","kind":`...)
+	b = strconv.AppendQuote(b, string(e.Kind))
 	if e.Warehouse != "" {
-		fmt.Fprintf(b, `,"warehouse":%q`, e.Warehouse)
+		b = append(b, `,"warehouse":`...)
+		b = strconv.AppendQuote(b, e.Warehouse)
 	}
 	if len(e.Attrs) > 0 {
-		b.WriteString(`,"attrs":{`)
+		b = append(b, `,"attrs":{`...)
 		for i, a := range e.Attrs {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			fmt.Fprintf(b, "%q:%q", a.Key, a.Value)
+			b = strconv.AppendQuote(b, a.Key)
+			b = append(b, ':')
+			b = strconv.AppendQuote(b, a.Value)
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	}
-	b.WriteByte('}')
+	return append(b, '}')
 }
 
 // JSON returns the deterministic single-line JSON form.
-func (e Event) JSON() string {
-	var b strings.Builder
-	e.appendJSON(&b)
-	return b.String()
-}
-
-// Sink receives every event as it is emitted.
-type Sink interface {
-	Emit(Event)
-}
+func (e Event) JSON() string { return string(e.appendJSON(nil)) }
 
 // Bus is a ring-buffered event stream. Cumulative per-kind counts
 // survive ring wrap, so invariant checks can compare totals against
@@ -143,7 +142,13 @@ type Bus struct {
 	filled bool
 	seq    uint64
 	counts map[EventKind]uint64
-	sinks  []Sink
+
+	// The output, under outMu rather than mu so ring readers never
+	// wait on a slow writer. line is the reused render buffer.
+	outMu  sync.Mutex
+	out    io.Writer
+	outErr error
+	line   []byte
 }
 
 // DefaultRingSize is the event capacity of a bus unless overridden.
@@ -162,14 +167,27 @@ func NewBus(clock func() time.Time, capacity int) *Bus {
 	}
 }
 
-// AddSink subscribes a sink to all future events.
-func (b *Bus) AddSink(s Sink) {
+// SetOutput makes the bus write every later event to w as its JSON
+// line (Event.JSON and a newline), with one Write per event, in
+// emission order when one goroutine emits at a time. The first failed
+// Write stops the output, and Err reports it. A nil w stops writing.
+func (b *Bus) SetOutput(w io.Writer) {
 	if b == nil {
 		return
 	}
-	b.mu.Lock()
-	b.sinks = append(b.sinks, s)
-	b.mu.Unlock()
+	b.outMu.Lock()
+	b.out, b.outErr = w, nil
+	b.outMu.Unlock()
+}
+
+// Err returns the error of the Write that stopped the output, or nil.
+func (b *Bus) Err() error {
+	if b == nil {
+		return nil
+	}
+	b.outMu.Lock()
+	defer b.outMu.Unlock()
+	return b.outErr
 }
 
 // Emit appends an event stamped with the bus clock.
@@ -187,11 +205,13 @@ func (b *Bus) Emit(kind EventKind, warehouse string, attrs ...Attr) {
 		b.filled = true
 	}
 	b.counts[kind]++
-	sinks := b.sinks
 	b.mu.Unlock()
-	for _, s := range sinks {
-		s.Emit(ev)
+	b.outMu.Lock()
+	if b.out != nil && b.outErr == nil {
+		b.line = append(ev.appendJSON(b.line[:0]), '\n')
+		_, b.outErr = b.out.Write(b.line)
 	}
+	b.outMu.Unlock()
 }
 
 // Recent returns up to n most recent events, oldest first.
@@ -238,61 +258,4 @@ func (b *Bus) Total() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.seq
-}
-
-// MemorySink captures every event for tests.
-type MemorySink struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// Emit implements Sink.
-func (m *MemorySink) Emit(ev Event) {
-	m.mu.Lock()
-	m.events = append(m.events, ev)
-	m.mu.Unlock()
-}
-
-// Events returns a copy of everything captured so far.
-func (m *MemorySink) Events() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Event(nil), m.events...)
-}
-
-// Count returns how many events of the kind were captured.
-func (m *MemorySink) Count(kind EventKind) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, ev := range m.events {
-		if ev.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-// JSONLSink writes one deterministic JSON line per event.
-type JSONLSink struct {
-	mu sync.Mutex
-	w  io.Writer
-	// Err holds the first write error, if any.
-	Err error
-}
-
-// NewJSONLSink wraps w.
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
-
-// Emit implements Sink.
-func (j *JSONLSink) Emit(ev Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.Err != nil {
-		return
-	}
-	var b strings.Builder
-	ev.appendJSON(&b)
-	b.WriteByte('\n')
-	_, j.Err = io.WriteString(j.w, b.String())
 }

@@ -57,16 +57,17 @@ func EventsQuery(w http.ResponseWriter, r *http.Request) (n int, kinds KindFilte
 // events that kinds admits, oldest first, one JSON object per line.
 func WriteEvents(w http.ResponseWriter, n int, kinds KindFilter, buses ...*Bus) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	var b strings.Builder
+	var b []byte
 	for _, bus := range buses {
 		for _, ev := range bus.Recent(n) {
 			if kinds.Match(ev.Kind) {
-				ev.appendJSON(&b)
-				b.WriteByte('\n')
+				b = append(ev.appendJSON(b), '\n')
 			}
 		}
 	}
-	fmt.Fprint(w, b.String())
+	// A failed Write means the client is gone: there is no one left
+	// to report it to.
+	_, _ = w.Write(b)
 }
 
 // Handler serves the ops surface for a hub:

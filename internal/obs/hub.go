@@ -55,7 +55,6 @@ const MetricCursorRebuilds = "kwo_replay_cursor_rebuilds_total"
 type Hub struct {
 	Registry *Registry
 	Bus      *Bus
-	clock    func() time.Time
 
 	// Engine.
 	DecisionTicks       *CounterVec // warehouse
@@ -111,7 +110,7 @@ type Hub struct {
 // simulation, the scheduler's virtual Now, never the wall clock.
 func NewHub(clock func() time.Time) *Hub {
 	r := NewRegistry()
-	h := &Hub{Registry: r, Bus: NewBus(clock, 0), clock: clock}
+	h := &Hub{Registry: r, Bus: NewBus(clock, 0)}
 
 	h.DecisionTicks = r.NewCounterVec(MetricDecisionTicks,
 		"Smart-model decision ticks executed.", "warehouse")
@@ -233,14 +232,6 @@ func (h *Hub) Prime(warehouse string) {
 	h.ConfigChanges.With(warehouse, "kwo")
 	h.OverheadCredits.With("telemetry-pull")
 	h.EventsTotal.With("decision")
-}
-
-// Now returns the hub clock's current time.
-func (h *Hub) Now() time.Time {
-	if h == nil || h.clock == nil {
-		return time.Time{}
-	}
-	return h.clock()
 }
 
 // Emit publishes an event on the bus and self-meters it.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -131,13 +132,11 @@ func TestBusRingWrapKeepsCumulativeCounts(t *testing.T) {
 
 func TestEventJSONIsValidAndOrdered(t *testing.T) {
 	bus := NewBus(fixedClock(), 8)
-	sink := &MemorySink{}
-	bus.AddSink(sink)
 	bus.Emit(EventActionApplied, "W",
 		A("statement", `ALTER "x"`), AInt("attempt", 2), ADur("delay", 30*time.Second))
-	evs := sink.Events()
+	evs := bus.Recent(10)
 	if len(evs) != 1 {
-		t.Fatalf("sink captured %d events", len(evs))
+		t.Fatalf("bus holds %d events", len(evs))
 	}
 	line := evs[0].JSON()
 	if !json.Valid([]byte(line)) {
@@ -157,6 +156,128 @@ func TestEventJSONIsValidAndOrdered(t *testing.T) {
 	if evs[0].Attr("attempt") != "2" || evs[0].Attr("missing") != "" {
 		t.Fatal("Attr lookup wrong")
 	}
+}
+
+var errWriteFailed = errors.New("write failed")
+
+// writeLog records every Write as one string; from write number failAt
+// on (0: never) it fails.
+type writeLog struct {
+	writes []string
+	failAt int
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, string(p))
+	if w.failAt > 0 && len(w.writes) >= w.failAt {
+		return 0, errWriteFailed
+	}
+	return len(p), nil
+}
+
+// TestBusOutputLinesMatchEvents: the output gets every event's JSON
+// line in sequence order, one Write each, as many as Total counts even
+// after the ring wraps. The first line is pinned byte for byte:
+// RFC3339Nano time, Go-quoted strings, attrs in emission order.
+func TestBusOutputLinesMatchEvents(t *testing.T) {
+	now := time.Date(2023, 1, 1, 0, 0, 0, 500, time.UTC)
+	bus := NewBus(func() time.Time { return now }, 4)
+	out := &writeLog{}
+	bus.SetOutput(out)
+	var want []string
+	emit := func(kind EventKind, warehouse string, attrs ...Attr) {
+		bus.Emit(kind, warehouse, attrs...)
+		want = append(want, bus.Recent(1)[0].JSON()+"\n")
+		now = now.Add(90 * time.Minute)
+	}
+	emit(EventActionApplied, `W"h`, A("statement", "ALTER \"x\"\t\\ é\x01"), AInt("attempt", 2))
+	for i := 0; i < 9; i++ {
+		emit(EventDecision, "W", AInt("i", i))
+	}
+	emit(EventInvoice, "")
+
+	if got := uint64(len(out.writes)); got != bus.Total() {
+		t.Fatalf("%d writes for %d events", got, bus.Total())
+	}
+	for i := range want {
+		if out.writes[i] != want[i] {
+			t.Fatalf("write %d = %q, want %q", i, out.writes[i], want[i])
+		}
+	}
+	const first = `{"seq":1,"time":"2023-01-01T00:00:00.0000005Z","kind":"action-applied","warehouse":"W\"h",` +
+		`"attrs":{"statement":"ALTER \"x\"\t\\ é\x01","attempt":"2"}}` + "\n"
+	if out.writes[0] != first {
+		t.Fatalf("first line = %q, want %q", out.writes[0], first)
+	}
+	if err := bus.Err(); err != nil {
+		t.Fatalf("Err = %v after clean writes", err)
+	}
+}
+
+// TestBusOutputStopsAtFirstFailedWrite: a failed Write stops the
+// output for good and Err reports it; the ring and counts go on.
+func TestBusOutputStopsAtFirstFailedWrite(t *testing.T) {
+	bus := NewBus(fixedClock(), 8)
+	out := &writeLog{failAt: 2}
+	bus.SetOutput(out)
+	for i := 0; i < 5; i++ {
+		bus.Emit(EventDecision, "W")
+	}
+	if len(out.writes) != 2 {
+		t.Fatalf("bus wrote %d times, want 2 (one line, one failed write, then nothing)", len(out.writes))
+	}
+	if err := bus.Err(); !errors.Is(err, errWriteFailed) {
+		t.Fatalf("Err = %v, want %v", err, errWriteFailed)
+	}
+	if bus.Total() != 5 || len(bus.Recent(10)) != 5 {
+		t.Fatalf("Total %d, Recent %d after a failed write, want 5 and 5", bus.Total(), len(bus.Recent(10)))
+	}
+}
+
+// blockingWriter blocks its first Write until release is closed.
+type blockingWriter struct {
+	entered, release chan struct{}
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	close(w.entered)
+	<-w.release
+	return len(p), nil
+}
+
+// TestBusOutputBlockedWriterDoesNotBlockReaders: while the output's
+// Write blocks, another goroutine's Recent, KindCount and Total return
+// and already see the event being written.
+func TestBusOutputBlockedWriterDoesNotBlockReaders(t *testing.T) {
+	bus := NewBus(fixedClock(), 8)
+	w := &blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	bus.SetOutput(w)
+	emitted := make(chan struct{})
+	go func() {
+		defer close(emitted)
+		bus.Emit(EventDecision, "W")
+	}()
+	<-w.entered
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		if n := len(bus.Recent(10)); n != 1 {
+			t.Errorf("Recent holds %d events while the write blocks, want 1", n)
+		}
+		if n := bus.KindCount(EventDecision); n != 1 {
+			t.Errorf("KindCount = %d while the write blocks, want 1", n)
+		}
+		if n := bus.Total(); n != 1 {
+			t.Errorf("Total = %d while the write blocks, want 1", n)
+		}
+	}()
+	select {
+	case <-read:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ring reads waited on a blocked output Write")
+	}
+	close(w.release)
+	<-emitted
 }
 
 func TestHandlerEndpoints(t *testing.T) {

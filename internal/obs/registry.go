@@ -1,7 +1,8 @@
 // Package obs is KWO's zero-dependency observability layer: a metrics
 // registry (counters, gauges, fixed-bucket histograms), a ring-buffered
-// structured event bus with pluggable sinks, and an ops HTTP handler
-// serving Prometheus text exposition, recent events, and pprof.
+// structured event bus that can write every event's JSON line to an
+// io.Writer, and an ops HTTP handler serving Prometheus text
+// exposition, recent events, and pprof.
 //
 // Everything in this package is a pure observer of the simulation: it
 // draws no randomness, schedules nothing that mutates warehouse state,

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"time"
 )
@@ -145,9 +144,6 @@ func (s *Series) Name() string { return s.name }
 // given, raised to at least 4 and to an even number. The series never
 // renders more points than that.
 func (s *Series) Budget() int { return s.budget }
-
-// Agg returns the series' aggregation kind.
-func (s *Series) Agg() Agg { return s.agg }
 
 // Stride returns how many raw samples each retained point spans (the
 // partial last point may span fewer).
@@ -380,9 +376,6 @@ func (rec *Recorder) Dump() []SeriesDump {
 	return out
 }
 
-// Specs returns the recorder's sample specs (callers must not mutate).
-func (rec *Recorder) Specs() []SampleSpec { return rec.specs }
-
 // familyValue sums the current value of every matching series of a
 // family (histogram series contribute their observation count). Unknown
 // family or filter label → 0. Iteration follows first-use order, which
@@ -553,9 +546,4 @@ func (rec *Recorder) AppendState(b []byte) []byte {
 		}
 	}
 	return b
-}
-
-// String renders a compact human summary, for logs and tests.
-func (s *Series) String() string {
-	return fmt.Sprintf("%s[%s stride=%d pts=%d]", s.name, s.agg, s.stride, s.Len())
 }

@@ -13,9 +13,9 @@ import (
 )
 
 // TestGoldenTraceInstrumented re-runs the quickstart golden scenario
-// with the observability layer fully engaged — a JSONL sink and an
-// in-memory sink draining the event bus, plus mid-run scrapes of the
-// ops endpoint — and asserts the telemetry snapshot is STILL
+// with the observability layer fully engaged — the event bus writing
+// every event's JSON line to a buffer, plus mid-run scrapes of the ops
+// endpoint — and asserts the telemetry snapshot is STILL
 // byte-identical to the committed golden file. Observability is a pure
 // observer: it draws no randomness, mutates no warehouse state, and
 // must never move a byte of the trace. The golden file is the one
@@ -23,9 +23,7 @@ import (
 func TestGoldenTraceInstrumented(t *testing.T) {
 	sim := kwo.NewSimulation(42)
 	var jsonl bytes.Buffer
-	sim.Obs().Bus.AddSink(obs.NewJSONLSink(&jsonl))
-	mem := &obs.MemorySink{}
-	sim.Obs().Bus.AddSink(mem)
+	sim.Obs().Bus.SetOutput(&jsonl)
 
 	scrape := func(stage string) {
 		t.Helper()
@@ -77,12 +75,9 @@ func TestGoldenTraceInstrumented(t *testing.T) {
 	}
 
 	// The run must actually have been observed: decisions happened, so
-	// events flowed through both sinks and the bus agrees with the
+	// events flowed to the output and the bus agrees with the
 	// kwo_obs_events_total counter.
 	hub := sim.Obs()
-	if len(mem.Events()) == 0 || jsonl.Len() == 0 {
-		t.Fatalf("sinks saw nothing: memory %d events, jsonl %d bytes", len(mem.Events()), jsonl.Len())
-	}
 	if hub.Bus.KindCount(obs.EventDecision) == 0 {
 		t.Fatal("no decision events emitted over three optimized days")
 	}
@@ -92,7 +87,10 @@ func TestGoldenTraceInstrumented(t *testing.T) {
 	if got, want := hub.Registry.CounterSum(obs.MetricEvents), float64(hub.Bus.Total()); got != want {
 		t.Fatalf("kwo_obs_events_total sums to %g, bus emitted %g", got, want)
 	}
-	if got, want := uint64(len(mem.Events())), hub.Bus.Total(); got != want {
-		t.Fatalf("memory sink saw %d events, bus emitted %d", got, want)
+	if got, want := uint64(bytes.Count(jsonl.Bytes(), []byte{'\n'})), hub.Bus.Total(); got != want {
+		t.Fatalf("bus output has %d lines, bus emitted %d", got, want)
+	}
+	if err := hub.Bus.Err(); err != nil {
+		t.Fatalf("bus output: %v", err)
 	}
 }

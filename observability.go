@@ -19,8 +19,6 @@ type (
 	ObsEventKind = obs.EventKind
 	// ObsAttr is one key/value attribute on an event.
 	ObsAttr = obs.Attr
-	// ObsSink receives every emitted event (obs.MemorySink, obs.JSONLSink).
-	ObsSink = obs.Sink
 	// ObsMetricSpec describes one cataloged metric family.
 	ObsMetricSpec = obs.MetricSpec
 )
