@@ -21,7 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -36,10 +36,10 @@ import (
 
 // parseSLO decodes the -slo flag: comma-separated key=value pairs
 // naming objective thresholds. Unset keys keep their defaults.
-func parseSLO(s string) kwo.FleetSLO {
+func parseSLO(s string) (kwo.FleetSLO, error) {
 	var cfg kwo.FleetSLO
 	if s == "" {
-		return cfg
+		return cfg, nil
 	}
 	for _, pair := range strings.Split(s, ",") {
 		pair = strings.TrimSpace(pair)
@@ -48,11 +48,11 @@ func parseSLO(s string) kwo.FleetSLO {
 		}
 		key, val, ok := strings.Cut(pair, "=")
 		if !ok {
-			log.Fatalf("kwo-fleet: -slo: %q is not key=value", pair)
+			return cfg, fmt.Errorf("-slo: %q is not key=value", pair)
 		}
 		v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
 		if err != nil {
-			log.Fatalf("kwo-fleet: -slo: %q: %v", pair, err)
+			return cfg, fmt.Errorf("-slo: %q: %v", pair, err)
 		}
 		switch strings.TrimSpace(key) {
 		case "enforcement-sla":
@@ -66,39 +66,55 @@ func parseSLO(s string) kwo.FleetSLO {
 		case "savings-floor":
 			cfg.MinSavingsShare = v
 		default:
-			log.Fatalf("kwo-fleet: -slo: unknown key %q (enforcement-sla, degraded-time, p99-factor, p99-ratio, savings-floor)", key)
+			return cfg, fmt.Errorf("-slo: unknown key %q (enforcement-sla, degraded-time, p99-factor, p99-ratio, savings-floor)", key)
 		}
 	}
-	return cfg
+	return cfg, nil
 }
 
-func main() {
-	tenants := flag.Int("tenants", 8, "number of independent tenants")
-	seed := flag.Int64("seed", 1, "fleet seed; tenant i runs under its own derived split")
-	workers := flag.Int("workers", 0, "worker pool size (0 = one per CPU); never affects results")
-	epochs := flag.Int("epochs", 48, "lock-step epochs to run")
-	epochLen := flag.Duration("epoch-len", time.Hour, "simulated length of one epoch")
-	attachEpoch := flag.Int("attach-epoch", 0, "epoch at which optimizers attach (0 = epochs/4)")
-	faultRate := flag.Float64("fault-rate", 0, "probability a tenant lives behind an unreliable control-plane API")
-	backends := flag.String("backends", "", "comma-separated CDW backend pool tenants draw from (snowflake, bigquery, redshift); empty = all snowflake")
-	topK := flag.Int("top", 5, "how many regressed tenants the rollup highlights")
-	slo := flag.String("slo", "", "SLO thresholds as key=value pairs (enforcement-sla, degraded-time, p99-factor, p99-ratio, savings-floor); empty = defaults")
-	seriesBudget := flag.Int("series-budget", 0, "max points per recorded time series (0 = 64)")
-	format := flag.String("format", "text", "rollup output: text, csv, json")
-	obsAddr := flag.String("obs-addr", "", "serve the fleet ops endpoint (merged /metrics, /events) on this address")
-	obsHold := flag.Duration("obs-hold", 0, "keep the process alive this long after the run (requires -obs-addr)")
-	tenantIdx := flag.Int("tenant", -1, "replay this tenant index standalone instead of running the fleet")
-	tenantSeed := flag.String("tenant-seed", "", "replay the tenant holding this derived seed standalone")
-	checkpointDir := flag.String("checkpoint-dir", "", "write epoch-aligned crash-recovery checkpoints into this directory")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in epochs (0 = 8; requires -checkpoint-dir)")
-	resume := flag.Bool("resume", false, "resume from the newest checkpoint in -checkpoint-dir instead of starting fresh")
-	alertLog := flag.String("alert-log", "", "append SLO breach/recovery and quarantine alerts to this JSONL file; a failed write is not retried and makes the exit status non-zero")
-	epochDeadline := flag.Duration("epoch-deadline", 0, "quarantine a tenant whose epoch step exceeds this wall-clock bound (0 = off)")
-	panicTenant := flag.Int("panic-tenant", -1, "arm a panic probe on this tenant index (quarantine demo/testing)")
-	panicEpoch := flag.Int("panic-epoch", 0, "epoch in which armed panic probes fire (0 = attach epoch + 1)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (go test convention)")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file after the run")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command. It returns the exit status instead of
+// exiting, so the deferred profile writes happen on every path,
+// failing runs included.
+func run(args []string, stdout, stderr io.Writer) (status int) {
+	fs := flag.NewFlagSet("kwo-fleet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	tenants := fs.Int("tenants", 8, "number of independent tenants")
+	seed := fs.Int64("seed", 1, "fleet seed; tenant i runs under its own derived split")
+	workers := fs.Int("workers", 0, "worker pool size (0 = one per CPU); never affects results")
+	epochs := fs.Int("epochs", 48, "lock-step epochs to run")
+	epochLen := fs.Duration("epoch-len", time.Hour, "simulated length of one epoch")
+	attachEpoch := fs.Int("attach-epoch", 0, "epoch at which optimizers attach (0 = epochs/4)")
+	faultRate := fs.Float64("fault-rate", 0, "probability a tenant lives behind an unreliable control-plane API")
+	backends := fs.String("backends", "", "comma-separated CDW backend pool tenants draw from (snowflake, bigquery, redshift); empty = all snowflake")
+	topK := fs.Int("top", 5, "how many regressed tenants the rollup highlights")
+	slo := fs.String("slo", "", "SLO thresholds as key=value pairs (enforcement-sla, degraded-time, p99-factor, p99-ratio, savings-floor); empty = defaults")
+	seriesBudget := fs.Int("series-budget", 0, "max points per recorded time series (0 = 64)")
+	format := fs.String("format", "text", "rollup output: text, csv, json")
+	obsAddr := fs.String("obs-addr", "", "serve the fleet ops endpoint (merged /metrics, /events) on this address")
+	obsHold := fs.Duration("obs-hold", 0, "keep the process alive this long after the run (requires -obs-addr)")
+	tenantIdx := fs.Int("tenant", -1, "replay this tenant index standalone instead of running the fleet")
+	tenantSeed := fs.String("tenant-seed", "", "replay the tenant holding this derived seed standalone")
+	checkpointDir := fs.String("checkpoint-dir", "", "write epoch-aligned crash-recovery checkpoints into this directory")
+	checkpointEvery := fs.Int("checkpoint-every", 0, "checkpoint cadence in epochs (0 = 8; requires -checkpoint-dir)")
+	resume := fs.Bool("resume", false, "resume from the newest checkpoint in -checkpoint-dir instead of starting fresh")
+	alertLog := fs.String("alert-log", "", "append SLO breach/recovery and quarantine alerts to this JSONL file; a failed write is not retried and makes the exit status non-zero")
+	epochDeadline := fs.Duration("epoch-deadline", 0, "quarantine a tenant whose epoch step exceeds this wall-clock bound (0 = off)")
+	panicTenant := fs.Int("panic-tenant", -1, "arm a panic probe on this tenant index (quarantine demo/testing)")
+	panicEpoch := fs.Int("panic-epoch", 0, "epoch in which armed panic probes fire (0 = attach epoch + 1)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file (go test convention)")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file after the run")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(msg string, a ...any) int {
+		fmt.Fprintf(stderr, "kwo-fleet: "+msg+"\n", a...)
+		return 1
+	}
 
 	// Profiles follow the go-test flag conventions so the output feeds
 	// straight into `go tool pprof`. The CPU profile brackets the whole
@@ -107,30 +123,41 @@ func main() {
 	if *cpuProfile != "" {
 		pf, err := os.Create(*cpuProfile)
 		if err != nil {
-			log.Fatalf("kwo-fleet: -cpuprofile: %v", err)
+			return fail("-cpuprofile: %v", err)
 		}
 		if err := pprof.StartCPUProfile(pf); err != nil {
-			log.Fatalf("kwo-fleet: start CPU profile: %v", err)
+			pf.Close()
+			return fail("start CPU profile: %v", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			pf.Close()
+			if err := pf.Close(); err != nil {
+				status = fail("-cpuprofile: %v", err)
+			}
 		}()
 	}
 	if *memProfile != "" {
 		defer func() {
 			mf, err := os.Create(*memProfile)
 			if err != nil {
-				log.Fatalf("kwo-fleet: -memprofile: %v", err)
+				status = fail("-memprofile: %v", err)
+				return
 			}
-			defer mf.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(mf); err != nil {
-				log.Fatalf("kwo-fleet: write heap profile: %v", err)
+			err = pprof.WriteHeapProfile(mf)
+			if cerr := mf.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				status = fail("write heap profile: %v", err)
 			}
 		}()
 	}
 
+	sloCfg, err := parseSLO(*slo)
+	if err != nil {
+		return fail("%v", err)
+	}
 	cfg := kwo.FleetConfig{
 		Tenants:         *tenants,
 		Seed:            *seed,
@@ -140,7 +167,7 @@ func main() {
 		AttachEpoch:     *attachEpoch,
 		FaultRate:       *faultRate,
 		TopK:            *topK,
-		SLO:             parseSLO(*slo),
+		SLO:             sloCfg,
 		SeriesBudget:    *seriesBudget,
 		CheckpointDir:   *checkpointDir,
 		CheckpointEvery: *checkpointEvery,
@@ -160,7 +187,7 @@ func main() {
 				continue
 			}
 			if _, err := kwo.BackendByName(name); err != nil {
-				log.Fatalf("kwo-fleet: -backends: %v", err)
+				return fail("-backends: %v", err)
 			}
 			cfg.Backends = append(cfg.Backends, name)
 		}
@@ -174,50 +201,49 @@ func main() {
 		if *tenantSeed != "" {
 			v, err := strconv.ParseInt(*tenantSeed, 10, 64)
 			if err != nil {
-				log.Fatalf("kwo-fleet: -tenant-seed %q: %v", *tenantSeed, err)
+				return fail("-tenant-seed %q: %v", *tenantSeed, err)
 			}
 			s = v
 		}
 		kpi, err := kwo.ReplayFleetTenant(s, cfg)
 		if err != nil {
-			log.Fatal(err)
+			return fail("%v", err)
 		}
-		fmt.Printf("tenant replay (seed %d, %d epochs × %v):\n", s, cfg.Epochs, cfg.EpochLen)
-		fmt.Printf("  profile:   %s\n", kpi.Profile)
-		fmt.Printf("  queries:   %d  p99 %v\n", kpi.Queries, kpi.P99Latency.Round(10*time.Millisecond))
-		fmt.Printf("  credits:   %.2f actual, %.2f without (savings %.1f%%)\n",
+		fmt.Fprintf(stdout, "tenant replay (seed %d, %d epochs × %v):\n", s, cfg.Epochs, cfg.EpochLen)
+		fmt.Fprintf(stdout, "  profile:   %s\n", kpi.Profile)
+		fmt.Fprintf(stdout, "  queries:   %d  p99 %v\n", kpi.Queries, kpi.P99Latency.Round(10*time.Millisecond))
+		fmt.Fprintf(stdout, "  credits:   %.2f actual, %.2f without (savings %.1f%%)\n",
 			kpi.ActualCredits, kpi.WithoutKeebo, kpi.SavingsPercent)
-		fmt.Printf("  events:    %d (fingerprint %s)\n", kpi.ObsEvents, kpi.EventsFingerprint)
-		fmt.Printf("  snapshot:  %s\n", kpi.SnapshotFingerprint)
+		fmt.Fprintf(stdout, "  events:    %d (fingerprint %s)\n", kpi.ObsEvents, kpi.EventsFingerprint)
+		fmt.Fprintf(stdout, "  snapshot:  %s\n", kpi.SnapshotFingerprint)
 		for _, v := range kpi.SLO {
 			state := "pass"
 			if !v.Pass {
 				state = "FAIL"
 			}
-			fmt.Printf("  slo:       %-16s %s value %.4f target %.4f burn %.2f %s\n",
+			fmt.Fprintf(stdout, "  slo:       %-16s %s value %.4f target %.4f burn %.2f %s\n",
 				v.Objective, state, v.Value, v.Target, v.Burn, v.Detail)
 		}
-		return
+		return 0
 	}
 
 	wallStart := time.Now()
 	var f *kwo.Fleet
-	var err error
 	var af *os.File
 	if *alertLog != "" {
 		af, err = os.OpenFile(*alertLog, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
-			log.Fatalf("kwo-fleet: -alert-log: %v", err)
+			return fail("-alert-log: %v", err)
 		}
 		cfg.AlertLog = af
 	}
 	if *resume {
 		if *checkpointDir == "" {
-			log.Fatal("kwo-fleet: -resume requires -checkpoint-dir")
+			return fail("-resume requires -checkpoint-dir")
 		}
 		cp, path, lerr := kwo.LatestFleetCheckpoint(*checkpointDir)
 		if lerr != nil {
-			log.Fatal(lerr)
+			return fail("%v", lerr)
 		}
 		// Resume replays the checkpointed epochs deterministically and
 		// verifies the replayed state against the checkpoint's digests
@@ -228,13 +254,13 @@ func main() {
 		cfg = cp.Config.Merge(cfg)
 		f, err = kwo.ResumeFleet(cp, cfg)
 		if err == nil {
-			fmt.Fprintf(os.Stderr, "[resumed from %s at epoch %d/%d]\n", path, f.Epoch(), cp.Config.Epochs)
+			fmt.Fprintf(stderr, "[resumed from %s at epoch %d/%d]\n", path, f.Epoch(), cp.Config.Epochs)
 		}
 	} else {
 		f, err = kwo.NewFleet(cfg)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return fail("%v", err)
 	}
 	defer f.Close()
 	// The ops endpoint serves the merged view live while the fleet runs;
@@ -242,54 +268,48 @@ func main() {
 	if *obsAddr != "" {
 		ln, err := net.Listen("tcp", *obsAddr)
 		if err != nil {
-			log.Fatalf("obs endpoint: %v", err)
+			return fail("obs endpoint: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "[fleet obs endpoint on http://%s/metrics]\n", ln.Addr())
+		fmt.Fprintf(stderr, "[fleet obs endpoint on http://%s/metrics]\n", ln.Addr())
 		go func() {
 			if err := http.Serve(ln, f.ObsHandler()); err != nil {
-				fmt.Fprintf(os.Stderr, "[obs endpoint: %v]\n", err)
+				fmt.Fprintf(stderr, "[obs endpoint: %v]\n", err)
 			}
 		}()
 	}
 	rep, err := f.Run()
 	if err != nil {
-		log.Fatal(err)
+		return fail("%v", err)
 	}
 	switch *format {
 	case "text":
-		fmt.Print(rep.String())
+		_, err = io.WriteString(stdout, rep.String())
 	case "csv":
-		if err := rep.WriteCSV(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
+		err = rep.WriteCSV(stdout)
 	case "json":
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
+		err = rep.WriteJSON(stdout)
 	default:
-		log.Fatalf("unknown -format %q (text, csv, json)", *format)
+		err = fmt.Errorf("unknown -format %q (text, csv, json)", *format)
 	}
-	fmt.Fprintf(os.Stderr, "[%d tenants × %d epochs in %v wall-clock]\n",
+	if err != nil {
+		return fail("%v", err)
+	}
+	fmt.Fprintf(stderr, "[%d tenants × %d epochs in %v wall-clock]\n",
 		cfg.Tenants, cfg.Epochs, time.Since(wallStart).Round(time.Millisecond))
 	// The fleet writes alerts on epoch barriers only, so the log is
 	// complete once Run returns. Its failures go to stderr and the exit
 	// status, leaving stdout the report alone.
-	alertsOK := true
 	if af != nil {
 		if n := f.SLOStatus().Alerts.SinkErrors; n > 0 {
-			fmt.Fprintf(os.Stderr, "kwo-fleet: -alert-log %s: %d alert writes failed\n", *alertLog, n)
-			alertsOK = false
+			status = fail("-alert-log %s: %d alert writes failed", *alertLog, n)
 		}
 		if err := af.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "kwo-fleet: -alert-log: %v\n", err)
-			alertsOK = false
+			status = fail("-alert-log: %v", err)
 		}
 	}
 	if *obsAddr != "" && *obsHold > 0 {
-		fmt.Fprintf(os.Stderr, "[holding ops endpoint for %v]\n", *obsHold)
+		fmt.Fprintf(stderr, "[holding ops endpoint for %v]\n", *obsHold)
 		time.Sleep(*obsHold)
 	}
-	if !alertsOK {
-		os.Exit(1)
-	}
+	return status
 }

@@ -12,6 +12,13 @@
 //	curl localhost:8080/api/v1/warehouses/BI_WH/report?from=-24h
 //	curl -X PUT -d '{"position":5}' localhost:8080/api/v1/warehouses/BI_WH/slider
 //
+// With -once and no fleet source the portal instead advances the same
+// simulation a fixed week past attach and prints the text dashboard:
+// per-warehouse KPIs, daily and hourly series, invoices, metrics and
+// recent events:
+//
+//	kwo-portal -once
+//
 // With -fleet-url the portal instead renders the fleet view over a
 // running kwo-fleet ops endpoint (sparklines, SLO/error-budget table,
 // replay drill-downs); add -once to print a single snapshot and exit:
@@ -38,48 +45,70 @@ import (
 	"kwo"
 )
 
+// portalHistory is the simulated history both single-tenant modes run
+// before attaching the optimizer.
+const portalHistory = 2 * 24 * time.Hour
+
+// portalWarehouses are the warehouses of the portal's simulation.
+var portalWarehouses = []string{"BI_WH", "ETL_WH"}
+
+// newPortalSim builds the simulation the API and -once modes serve: a
+// BI and an ETL warehouse with two days of history, both attached to a
+// started optimizer.
+func newPortalSim(seed int64) (*kwo.Simulation, *kwo.Optimizer, error) {
+	sim := kwo.NewSimulation(seed)
+	if _, err := sim.CreateWarehouse(kwo.WarehouseConfig{
+		Name: "BI_WH", Size: kwo.SizeLarge, MinClusters: 1, MaxClusters: 2,
+		AutoSuspend: 10 * time.Minute, AutoResume: true,
+	}); err != nil {
+		return nil, nil, err
+	}
+	if _, err := sim.CreateWarehouse(kwo.WarehouseConfig{
+		Name: "ETL_WH", Size: kwo.SizeMedium, MinClusters: 1, MaxClusters: 1,
+		AutoSuspend: 10 * time.Minute, AutoResume: true,
+	}); err != nil {
+		return nil, nil, err
+	}
+	sim.AddWorkload("BI_WH", kwo.BIDashboards(60), 90*24*time.Hour)
+	sim.AddWorkload("ETL_WH", kwo.ETLPipeline(time.Hour, 6), 90*24*time.Hour)
+
+	sim.RunFor(portalHistory)
+	opt := sim.NewOptimizer(kwo.DefaultOptions())
+	for _, wh := range portalWarehouses {
+		if err := opt.Attach(wh, kwo.Settings{Slider: kwo.Balanced}); err != nil {
+			return nil, nil, err
+		}
+	}
+	opt.Start()
+	return sim, opt, nil
+}
+
 func main() {
 	listen := flag.String("listen", ":8080", "address to serve the API on")
 	speedup := flag.Float64("speedup", 3600, "virtual seconds per wall second")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	fleetURL := flag.String("fleet-url", "", "render the fleet view over this kwo-fleet ops endpoint instead of serving the single-tenant API")
 	checkpoint := flag.String("checkpoint", "", "render the fleet view offline by replaying this crash-recovery checkpoint file to its epoch")
-	once := flag.Bool("once", false, "with -fleet-url: print one fleet view to stdout and exit")
+	once := flag.Bool("once", false, "print one view to stdout and exit: the fleet view with -fleet-url, else the dashboard a simulated week past attach")
 	flag.Parse()
 
 	if *fleetURL != "" || *checkpoint != "" {
 		fleetMain(*fleetURL, *checkpoint, *listen, *once)
 		return
 	}
+	sim, opt, err := newPortalSim(*seed)
+	if err != nil {
+		log.Fatalf("kwo-portal: %v", err)
+	}
 	if *once {
-		log.Fatal("kwo-portal: -once requires -fleet-url")
-	}
-
-	sim := kwo.NewSimulation(*seed)
-	if _, err := sim.CreateWarehouse(kwo.WarehouseConfig{
-		Name: "BI_WH", Size: kwo.SizeLarge, MinClusters: 1, MaxClusters: 2,
-		AutoSuspend: 10 * time.Minute, AutoResume: true,
-	}); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := sim.CreateWarehouse(kwo.WarehouseConfig{
-		Name: "ETL_WH", Size: kwo.SizeMedium, MinClusters: 1, MaxClusters: 1,
-		AutoSuspend: 10 * time.Minute, AutoResume: true,
-	}); err != nil {
-		log.Fatal(err)
-	}
-	sim.AddWorkload("BI_WH", kwo.BIDashboards(60), 90*24*time.Hour)
-	sim.AddWorkload("ETL_WH", kwo.ETLPipeline(time.Hour, 6), 90*24*time.Hour)
-
-	// Two days of history, then attach both warehouses.
-	sim.RunFor(2 * 24 * time.Hour)
-	opt := sim.NewOptimizer(kwo.DefaultOptions())
-	for _, wh := range []string{"BI_WH", "ETL_WH"} {
-		if err := opt.Attach(wh, kwo.Settings{Slider: kwo.Balanced}); err != nil {
-			log.Fatal(err)
+		sim.RunFor(onceSpan)
+		v, err := collectOnceView(sim, opt)
+		if err != nil {
+			log.Fatalf("kwo-portal: %v", err)
 		}
+		fmt.Print(renderOnceView(v))
+		return
 	}
-	opt.Start()
 
 	// Advance virtual time with wall time; the portal calls this under
 	// its own lock before each request.

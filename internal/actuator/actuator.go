@@ -285,9 +285,6 @@ func (a *Actuator) SetRetryPolicy(p RetryPolicy) {
 	a.policy = p
 }
 
-// Policy returns the active retry policy.
-func (a *Actuator) Policy() RetryPolicy { return a.policy }
-
 // SetOnApplied registers the callback invoked when an operation lands on
 // an asynchronous retry.
 func (a *Actuator) SetOnApplied(fn func(warehouse, reason string, act action.Action, after cdw.Config)) {

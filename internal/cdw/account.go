@@ -3,7 +3,6 @@ package cdw
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"kwo/internal/cdw/backend"
@@ -308,14 +307,6 @@ func (a *Account) Changes() []ConfigChange {
 	return out
 }
 
-// ChangesSince returns audit rows at or after t.
-func (a *Account) ChangesSince(t time.Time) []ConfigChange {
-	i := sort.Search(len(a.changes), func(i int) bool { return !a.changes[i].Time.Before(t) })
-	out := make([]ConfigChange, len(a.changes)-i)
-	copy(out, a.changes[i:])
-	return out
-}
-
 // RecordOverhead meters credits consumed by the optimizer's own
 // operations. The paper's Figure 6 reports this overhead separately
 // from user spend.
@@ -345,16 +336,6 @@ func (a *Account) TotalCredits() float64 {
 	var total float64
 	for _, name := range a.names {
 		total += a.warehouses[name].Meter().TotalCredits(now)
-	}
-	return total
-}
-
-// CreditsBetween sums billed credits across all warehouses in [from, to).
-func (a *Account) CreditsBetween(from, to time.Time) float64 {
-	now := a.sched.Now()
-	var total float64
-	for _, name := range a.names {
-		total += a.warehouses[name].Meter().CreditsBetween(from, to, now)
 	}
 	return total
 }

@@ -60,15 +60,6 @@ func (c Capability) String() string {
 	return strings.Join(parts, "+")
 }
 
-// All returns every defined capability, in declaration order.
-func AllCapabilities() []Capability {
-	out := make([]Capability, len(capNames))
-	for i, e := range capNames {
-		out[i] = e.c
-	}
-	return out
-}
-
 // CapabilitiesOf folds a backend's Has answers into one bitset, for
 // callers that gate many decisions and want a single cached mask.
 func CapabilitiesOf(b Backend) Capability {

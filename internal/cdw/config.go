@@ -68,12 +68,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Maximized reports whether the warehouse runs in Snowflake's Maximized
-// mode: a multi-cluster warehouse (MaxClusters > 1) with min == max, so
-// all clusters start together. A Min=Max=1 warehouse is an ordinary
-// single-cluster warehouse, never Maximized.
-func (c Config) Maximized() bool { return c.MinClusters == c.MaxClusters && c.MaxClusters > 1 }
-
 // Alteration is a partial configuration change, the simulator's
 // equivalent of an ALTER WAREHOUSE statement. Nil fields are left
 // untouched.

@@ -5,29 +5,6 @@ import (
 	"time"
 )
 
-// TestMaximizedSingleCluster pins the Maximized definition: Maximized
-// is a multi-cluster mode, so a Min=Max=1 warehouse is an ordinary
-// single-cluster warehouse, never Maximized. (Regression: the predicate
-// once returned true for Min=Max=1, contradicting its own doc comment.)
-func TestMaximizedSingleCluster(t *testing.T) {
-	cases := []struct {
-		min, max int
-		want     bool
-	}{
-		{1, 1, false}, // plain single-cluster, the regression case
-		{2, 2, true},  // genuine Maximized
-		{3, 3, true},
-		{1, 2, false}, // auto-scale, not Maximized
-		{1, 4, false},
-	}
-	for _, c := range cases {
-		cfg := Config{Name: "W", Size: SizeSmall, MinClusters: c.min, MaxClusters: c.max}
-		if got := cfg.Maximized(); got != c.want {
-			t.Errorf("Config{Min:%d,Max:%d}.Maximized() = %v, want %v", c.min, c.max, got, c.want)
-		}
-	}
-}
-
 // TestAutoSuspendRoundingPinned pins the exact SQL an AUTO_SUSPEND
 // alteration renders and requires Apply to install the same whole-second
 // value: the audit log must never disagree with the configuration it

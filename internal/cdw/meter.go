@@ -80,9 +80,6 @@ func NewMeterWithRule(warehouse string, rule backend.BillingRule) *Meter {
 	}
 }
 
-// Rule returns the billing rule the meter quantizes under.
-func (m *Meter) Rule() backend.BillingRule { return m.rule }
-
 // StartCluster opens metering for a cluster at the given size. newStart
 // marks a genuine cluster start (resume or scale-out), which carries the
 // rule's per-start billing minimum; a resize reopening is not a new

@@ -37,7 +37,6 @@ type Engine struct {
 	models map[string]*smState
 	names  []string
 
-	started time.Time
 	running bool
 	gen     uint64 // invalidates scheduled events after Stop
 }
@@ -287,7 +286,6 @@ func (e *Engine) Start() {
 		return
 	}
 	e.running = true
-	e.started = e.sched.Now()
 	for _, name := range e.names {
 		e.scheduleLoops(e.models[name])
 	}
@@ -298,9 +296,6 @@ func (e *Engine) Stop() {
 	e.running = false
 	e.gen++
 }
-
-// Started returns the engine start time.
-func (e *Engine) Started() time.Time { return e.started }
 
 // Options returns the engine's configuration.
 func (e *Engine) Options() Options { return e.opts }
@@ -326,15 +321,6 @@ func (e *Engine) BillingWatermark(warehouse string) (time.Time, error) {
 		return time.Time{}, fmt.Errorf("core: warehouse %s not attached", warehouse)
 	}
 	return st.lastBillingPull, nil
-}
-
-// AttachedAt returns when the warehouse was attached.
-func (e *Engine) AttachedAt(warehouse string) (time.Time, error) {
-	st, ok := e.models[warehouse]
-	if !ok {
-		return time.Time{}, fmt.Errorf("core: warehouse %s not attached", warehouse)
-	}
-	return st.attachAt, nil
 }
 
 func (e *Engine) scheduleLoops(st *smState) {
@@ -408,7 +394,9 @@ func (e *Engine) tick(st *smState) {
 
 	current := wh.Config()
 	snap := sm.mon.Observe(now)
-	sm.noteSnapshot(snap)
+	if snap.Degraded {
+		sm.degradedTicks++
+	}
 
 	// External-change scan over the audit rows since the last tick.
 	changes := e.acct.Changes()

@@ -48,7 +48,7 @@ type Report struct {
 	ConstraintEvents int
 }
 
-// String renders the report as the text dashboard used by cmd/kwo-dashboard.
+// String renders the report as the text dashboard kwo-portal -once prints.
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Warehouse %s  %s → %s\n", r.Warehouse,

@@ -83,11 +83,8 @@ type SmartModel struct {
 	Constrained int // constraint enforcements applied
 	Pauses      int
 
-	// Observation trail for harnesses: the latest monitor snapshot the
-	// engine handed to this model, and how many of those snapshots were
-	// degraded. Updated once per decision tick.
-	lastSnap      monitor.Snapshot
-	haveSnap      bool
+	// degradedTicks counts the decision ticks whose monitor snapshot
+	// was degraded.
 	degradedTicks int
 }
 
@@ -182,27 +179,9 @@ func (sm *SmartModel) CostModel() *costmodel.Model { return sm.cost }
 // baselines); use Peek and the read-only accessors instead.
 func (sm *SmartModel) Monitor() *monitor.Monitor { return sm.mon }
 
-// LastSnapshot returns the most recent monitor snapshot the engine
-// handed to this model; ok is false before the first decision tick.
-func (sm *SmartModel) LastSnapshot() (snap monitor.Snapshot, ok bool) {
-	return sm.lastSnap, sm.haveSnap
-}
-
 // DegradedTicks returns how many decision ticks observed a degraded
 // snapshot — harnesses use it to assert the monitor's detection SLA.
 func (sm *SmartModel) DegradedTicks() int { return sm.degradedTicks }
-
-// DecisionWindows returns how many decision ticks the model has seen.
-func (sm *SmartModel) DecisionWindows() int { return sm.windows }
-
-// noteSnapshot records the snapshot the engine observed this tick.
-func (sm *SmartModel) noteSnapshot(snap monitor.Snapshot) {
-	sm.lastSnap = snap
-	sm.haveSnap = true
-	if snap.Degraded {
-		sm.degradedTicks++
-	}
-}
 
 // retrain refreshes the cost model and runs an offline training pass
 // over historical windows (Algorithm 1 lines 14–16).
@@ -430,6 +409,8 @@ func (sm *SmartModel) decide(now time.Time, current cdw.Config, snap monitor.Sna
 		if !cand.Effective(current) {
 			continue
 		}
+		// §4.3: a non-compliant action is replaced with the next best
+		// action that complies.
 		if !sm.settings.Constraints.Allows(now, current, cand) {
 			continue
 		}

@@ -65,9 +65,6 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // Run evaluates fn(0), …, fn(n-1) across the pool and returns when all
 // calls have completed. Results are index-deterministic: parallelism
 // changes wall-clock time, never which fn call handles which index.

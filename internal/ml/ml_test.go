@@ -107,8 +107,10 @@ func TestRidgeRecoversCoefficients(t *testing.T) {
 	if math.Abs(r.Intercept-b0) > 0.02 {
 		t.Fatalf("intercept = %v, want %v", r.Intercept, b0)
 	}
-	if r2 := r.R2(x, y); r2 < 0.999 {
-		t.Fatalf("R2 = %v", r2)
+	for i := 0; i < n; i++ {
+		if res := math.Abs(r.Predict(x.Row(i)) - y[i]); res > 0.05 {
+			t.Fatalf("row %d residual = %v", i, res)
+		}
 	}
 }
 
@@ -143,21 +145,6 @@ func TestRidgeErrors(t *testing.T) {
 	}
 }
 
-func TestSGDConvergesToLine(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := &SGDRegressor{LearningRate: 0.05}
-	for i := 0; i < 5000; i++ {
-		x := rng.Float64()*4 - 2
-		s.Update([]float64{x}, 3*x+1)
-	}
-	if math.Abs(s.Weights[0]-3) > 0.05 || math.Abs(s.Intercept-1) > 0.05 {
-		t.Fatalf("w=%v b=%v, want 3, 1", s.Weights[0], s.Intercept)
-	}
-	if s.Steps() != 5000 {
-		t.Fatalf("steps = %d", s.Steps())
-	}
-}
-
 func TestEWMA(t *testing.T) {
 	e := &EWMA{Alpha: 0.5}
 	if e.Value() != 0 || e.Count() != 0 {
@@ -177,30 +164,6 @@ func TestEWMA(t *testing.T) {
 	}
 	if math.Abs(e.Value()-7) > 1e-6 {
 		t.Fatalf("value = %v, want ~7", e.Value())
-	}
-}
-
-func TestScaler(t *testing.T) {
-	x := FromRows([][]float64{{1, 100}, {2, 200}, {3, 300}})
-	s := &Scaler{}
-	s.Fit(x)
-	out := s.TransformMatrix(x)
-	for j := 0; j < 2; j++ {
-		col := []float64{out.At(0, j), out.At(1, j), out.At(2, j)}
-		if math.Abs(Mean(col)) > 1e-9 {
-			t.Fatalf("col %d mean = %v", j, Mean(col))
-		}
-		if math.Abs(StdDev(col)-1) > 1e-9 {
-			t.Fatalf("col %d std = %v", j, StdDev(col))
-		}
-	}
-	// Constant columns do not blow up.
-	c := FromRows([][]float64{{5}, {5}})
-	s2 := &Scaler{}
-	s2.Fit(c)
-	got := s2.Transform([]float64{5})
-	if got[0] != 0 {
-		t.Fatalf("constant column transform = %v", got[0])
 	}
 }
 
@@ -304,14 +267,11 @@ func TestReplayBufferSampleSmall(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
+	if Mean(nil) != 0 {
 		t.Fatal("empty helpers nonzero")
 	}
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Fatal("clamp wrong")
-	}
-	if math.Abs(Logistic(0)-0.5) > 1e-12 {
-		t.Fatal("logistic(0) != 0.5")
 	}
 }
 
@@ -345,37 +305,6 @@ func TestPropertyCholesky(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: scaler transform is invertible mentally — transformed data
-// has bounded magnitude for bounded input.
-func TestPropertyScalerFinite(t *testing.T) {
-	f := func(vals []float64) bool {
-		if len(vals) < 2 {
-			return true
-		}
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e100 {
-				return true // skip pathological inputs
-			}
-		}
-		x := NewMatrix(len(vals), 1)
-		for i, v := range vals {
-			x.Set(i, 0, v)
-		}
-		s := &Scaler{}
-		s.Fit(x)
-		out := s.TransformMatrix(x)
-		for i := 0; i < out.Rows; i++ {
-			if math.IsNaN(out.At(i, 0)) || math.IsInf(out.At(i, 0), 0) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

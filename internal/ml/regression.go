@@ -1,9 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Ridge is an L2-regularized linear regression fitted by the normal
 // equations. The intercept is not regularized.
@@ -58,72 +55,6 @@ func (r *Ridge) Predict(x []float64) float64 {
 	return Dot(r.Weights, x) + r.Intercept
 }
 
-// Fitted reports whether Fit succeeded at least once.
-func (r *Ridge) Fitted() bool { return r.fitted }
-
-// R2 returns the coefficient of determination on the given data.
-func (r *Ridge) R2(x *Matrix, y []float64) float64 {
-	if !r.fitted || x.Rows == 0 {
-		return 0
-	}
-	meanY := Mean(y)
-	var ssRes, ssTot float64
-	for i := 0; i < x.Rows; i++ {
-		p := r.Predict(x.Row(i))
-		ssRes += (y[i] - p) * (y[i] - p)
-		ssTot += (y[i] - meanY) * (y[i] - meanY)
-	}
-	if ssTot == 0 {
-		return 1
-	}
-	return 1 - ssRes/ssTot
-}
-
-// SGDRegressor is an online linear regressor trained by stochastic
-// gradient descent — used where the model must keep adapting as new
-// telemetry arrives without refitting from scratch.
-type SGDRegressor struct {
-	LearningRate float64 // step size; default 0.01 if zero
-	L2           float64 // weight decay
-	Weights      []float64
-	Intercept    float64
-	steps        int
-}
-
-// Update performs one gradient step on a single example and returns the
-// squared error before the step.
-func (s *SGDRegressor) Update(x []float64, y float64) float64 {
-	if s.Weights == nil {
-		s.Weights = make([]float64, len(x))
-	}
-	if len(x) != len(s.Weights) {
-		panic(fmt.Sprintf("ml: sgd: feature length %d, model %d", len(x), len(s.Weights)))
-	}
-	lr := s.LearningRate
-	if lr == 0 {
-		lr = 0.01
-	}
-	pred := Dot(s.Weights, x) + s.Intercept
-	err := pred - y
-	for i := range s.Weights {
-		s.Weights[i] -= lr * (err*x[i] + s.L2*s.Weights[i])
-	}
-	s.Intercept -= lr * err
-	s.steps++
-	return err * err
-}
-
-// Predict evaluates the current model.
-func (s *SGDRegressor) Predict(x []float64) float64 {
-	if s.Weights == nil {
-		return 0
-	}
-	return Dot(s.Weights, x) + s.Intercept
-}
-
-// Steps returns the number of updates applied.
-func (s *SGDRegressor) Steps() int { return s.steps }
-
 // EWMA is an exponentially weighted moving average — the first-order
 // approximation the cost model falls back to when a template has too
 // few observations for a regression (§5.2), and the monitor's smoother.
@@ -177,57 +108,3 @@ func (e *EWMA) Value() float64 { return e.value }
 
 // Count returns the number of observations folded in.
 func (e *EWMA) Count() int { return e.n }
-
-// Scaler standardizes features to zero mean and unit variance, fitted
-// once on training data. Transform of an unfitted scaler is identity.
-type Scaler struct {
-	Means  []float64
-	Stds   []float64
-	fitted bool
-}
-
-// Fit computes per-column statistics.
-func (s *Scaler) Fit(x *Matrix) {
-	d := x.Cols
-	s.Means = make([]float64, d)
-	s.Stds = make([]float64, d)
-	for j := 0; j < d; j++ {
-		col := make([]float64, x.Rows)
-		for i := 0; i < x.Rows; i++ {
-			col[i] = x.At(i, j)
-		}
-		s.Means[j] = Mean(col)
-		s.Stds[j] = StdDev(col)
-		if s.Stds[j] < 1e-12 {
-			s.Stds[j] = 1
-		}
-	}
-	s.fitted = true
-}
-
-// Transform standardizes a single vector in place and returns it.
-func (s *Scaler) Transform(x []float64) []float64 {
-	if !s.fitted {
-		return x
-	}
-	for j := range x {
-		x[j] = (x[j] - s.Means[j]) / s.Stds[j]
-	}
-	return x
-}
-
-// TransformMatrix standardizes every row of a copy of x.
-func (s *Scaler) TransformMatrix(x *Matrix) *Matrix {
-	out := x.Clone()
-	if !s.fitted {
-		return out
-	}
-	for i := 0; i < out.Rows; i++ {
-		s.Transform(out.Row(i))
-	}
-	return out
-}
-
-// Logistic is the standard sigmoid, exported for reuse by reward
-// shaping.
-func Logistic(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

@@ -1,16 +1,15 @@
 // Package monitor implements KWO's real-time monitoring component
 // (§4.4). It watches performance metrics to (1) assess the impact of
 // the optimizer's own actions and feed that back to the smart models,
-// (2) detect sudden workload spikes or new query patterns that the
-// models were not trained on, and (3) detect external configuration
-// changes made by other users, which force KWO to revert its own
-// actions.
+// and (2) detect sudden workload spikes or new query patterns that the
+// models were not trained on. §4.4's third duty, noticing configuration
+// changes made by other users, is the engine's scan of the audit log
+// (internal/core).
 package monitor
 
 import (
 	"time"
 
-	"kwo/internal/cdw"
 	"kwo/internal/ml"
 	"kwo/internal/telemetry"
 )
@@ -211,16 +210,3 @@ func (m *Monitor) Config() Thresholds { return m.th }
 
 // Window returns the observation window length.
 func (m *Monitor) Window() time.Duration { return m.window }
-
-// ExternalChanges filters a change log down to alterations made by
-// actors other than selfActor — the trigger for §4.4's "immediately
-// reverts its own action" behaviour.
-func ExternalChanges(changes []cdw.ConfigChange, selfActor string) []cdw.ConfigChange {
-	var out []cdw.ConfigChange
-	for _, c := range changes {
-		if c.Actor != selfActor {
-			out = append(out, c)
-		}
-	}
-	return out
-}

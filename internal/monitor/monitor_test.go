@@ -148,25 +148,6 @@ func TestEmptyWindowsDoNotPoisonBaseline(t *testing.T) {
 	}
 }
 
-func TestExternalChanges(t *testing.T) {
-	chs := []cdw.ConfigChange{
-		{Actor: "kwo", Warehouse: "W"},
-		{Actor: "dba-jane", Warehouse: "W"},
-		{Actor: "kwo", Warehouse: "W"},
-		{Actor: "etl-tool", Warehouse: "W"},
-	}
-	ext := ExternalChanges(chs, "kwo")
-	if len(ext) != 2 {
-		t.Fatalf("external = %d, want 2", len(ext))
-	}
-	if ext[0].Actor != "dba-jane" || ext[1].Actor != "etl-tool" {
-		t.Fatalf("external actors = %v, %v", ext[0].Actor, ext[1].Actor)
-	}
-	if got := ExternalChanges(nil, "kwo"); len(got) != 0 {
-		t.Fatal("nil changes produced output")
-	}
-}
-
 func TestNilLogSafe(t *testing.T) {
 	m := New(nil, "W", 10*time.Minute, DefaultThresholds())
 	snap := m.Observe(t0.Add(time.Hour))

@@ -76,7 +76,7 @@ func FuzzParseText(f *testing.F) {
 		val := float64(len(data))
 		r := NewRegistry()
 		r.NewCounterVec("c_"+suffix, in, "l").With(in).Add(val)
-		r.NewGauge("g_"+suffix, "fuzz gauge").Set(-val)
+		r.NewGaugeVec("g_"+suffix, "fuzz gauge").With().Set(-val)
 		r.NewHistogramVec("h_"+suffix, "fuzz histogram", []float64{1, 2.5}, "l").
 			With(in).Observe(val)
 

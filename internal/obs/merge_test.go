@@ -19,7 +19,7 @@ import (
 // derived from idx so registries differ.
 func mergeTestRegistry(idx, series int) *obs.Registry {
 	r := obs.NewRegistry()
-	r.NewCounter("kwo_plain_total", "plain counter").Add(float64(idx))
+	r.NewCounterVec("kwo_plain_total", "plain counter").With().Add(float64(idx))
 	g := r.NewGaugeVec("kwo_gauge", "labeled gauge", "warehouse", "state")
 	cv := r.NewCounterVec("kwo_actions_total", "labeled counter", "kind")
 	h := r.NewHistogramVec("kwo_latency_seconds", "latency", obs.ExponentialBuckets(0.1, 2, 6), "warehouse")
@@ -83,7 +83,7 @@ func TestMergedStreamingMatchesNaive(t *testing.T) {
 	regs := mergeTestRegs(5, 7)
 	// Partial overlap: one registry carries an extra family, another an
 	// extra series with a label value that needs escaping.
-	regs[1].Registry.NewCounter("kwo_only_here_total", "family missing elsewhere").Inc()
+	regs[1].Registry.NewCounterVec("kwo_only_here_total", "family missing elsewhere").With().Inc()
 	regs[2].Registry.NewGaugeVec("kwo_gauge", "labeled gauge", "warehouse", "state").
 		With(`nasty"wh\name`+"\nx", "suspended").Set(4.25)
 	regs = append(regs, obs.LabeledRegistry{Label: "tnil", Registry: nil})
@@ -182,9 +182,9 @@ func TestMergedLabelNameMismatch(t *testing.T) {
 // TestMergedTypeMismatch keeps the pre-existing type check intact.
 func TestMergedTypeMismatch(t *testing.T) {
 	a := obs.NewRegistry()
-	a.NewCounter("kwo_metric_total", "as counter").Inc()
+	a.NewCounterVec("kwo_metric_total", "as counter").With().Inc()
 	b := obs.NewRegistry()
-	b.NewGauge("kwo_metric_total", "as gauge").Set(1)
+	b.NewGaugeVec("kwo_metric_total", "as gauge").With().Set(1)
 	err := obs.WriteMergedPrometheus(io.Discard, "tenant", []obs.LabeledRegistry{
 		{Label: "t00", Registry: a}, {Label: "t01", Registry: b}})
 	if err == nil {

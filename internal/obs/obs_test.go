@@ -21,13 +21,13 @@ func fixedClock() func() time.Time {
 
 func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("c_total", "a counter")
+	c := r.NewCounterVec("c_total", "a counter").With()
 	c.Inc()
 	c.Add(2)
 	if c.Value() != 3 {
 		t.Fatalf("counter = %g, want 3", c.Value())
 	}
-	g := r.NewGauge("g", "a gauge")
+	g := r.NewGaugeVec("g", "a gauge").With()
 	g.Set(7)
 	g.Set(-1)
 	if g.Value() != -1 {
@@ -49,7 +49,7 @@ func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	}
 
 	// Re-registration with identical shape is idempotent...
-	c2 := r.NewCounter("c_total", "a counter")
+	c2 := r.NewCounterVec("c_total", "a counter").With()
 	c2.Inc()
 	if c.Value() != 4 {
 		t.Fatalf("re-registered counter is not the same series: %g", c.Value())
@@ -61,7 +61,7 @@ func TestRegistryCountersGaugesHistograms(t *testing.T) {
 			t.Fatal("registering c_total as a gauge did not panic")
 		}
 	}()
-	r.NewGauge("c_total", "now a gauge")
+	r.NewGaugeVec("c_total", "now a gauge").With()
 }
 
 func TestPrometheusOutputParses(t *testing.T) {

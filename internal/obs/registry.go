@@ -253,25 +253,9 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return &Histogram{r: v.r, f: v.f, s: v.f.get(values)}
 }
 
-// NewCounter registers (or finds) an unlabeled counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	f := r.family(name, help, TypeCounter, nil)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return &Counter{r: r, s: f.get(nil)}
-}
-
 // NewCounterVec registers (or finds) a labeled counter family.
 func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{r: r, f: r.family(name, help, TypeCounter, nil, labels...)}
-}
-
-// NewGauge registers (or finds) an unlabeled gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	f := r.family(name, help, TypeGauge, nil)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return &Gauge{r: r, s: f.get(nil)}
 }
 
 // NewGaugeVec registers (or finds) a labeled gauge family.

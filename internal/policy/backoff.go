@@ -87,6 +87,3 @@ func (b *Backoff) Record(a action.Action) {
 
 // Reverts returns how many rollbacks the controller has issued.
 func (b *Backoff) Reverts() int { return b.reverts }
-
-// InCooldown reports whether the controller is currently conservative.
-func (b *Backoff) InCooldown() bool { return b.tick < b.cooldownEnd }

@@ -241,16 +241,3 @@ func (cs Constraints) EnforcementActive(t time.Time) bool {
 	}
 	return false
 }
-
-// Filter returns the first action from ranked that the constraints
-// allow at time t, falling back to NoOp. This implements §4.3:
-// "non-compliant actions are cancelled and replaced with the next best
-// action that complies with the latest constraints."
-func (cs Constraints) Filter(t time.Time, cur cdw.Config, ranked []action.Action) action.Action {
-	for _, a := range ranked {
-		if cs.Allows(t, cur, a) {
-			return a
-		}
-	}
-	return action.Action{Kind: action.NoOp, Warehouse: cur.Name}
-}

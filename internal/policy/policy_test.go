@@ -123,26 +123,6 @@ func TestRequiredEnforcesWindow(t *testing.T) {
 	}
 }
 
-func TestFilterPicksNextBest(t *testing.T) {
-	cs := Constraints{{Name: "nodown", NoDownsize: true}}
-	ranked := []action.Action{
-		{Kind: action.SizeDown},
-		{Kind: action.SuspendShorter},
-		{Kind: action.NoOp},
-	}
-	got := cs.Filter(t0, cfg(), ranked)
-	if got.Kind != action.SuspendShorter {
-		t.Fatalf("filter picked %v, want suspend-shorter", got.Kind)
-	}
-	// Everything blocked → NoOp.
-	all := Constraints{{Name: "freeze", NoDownsize: true, NoUpsize: true,
-		NoSuspendChange: true, NoClusterChange: true}}
-	got = all.Filter(t0, cfg(), ranked[:2])
-	if got.Kind != action.NoOp {
-		t.Fatalf("fully blocked filter = %v, want no-op", got.Kind)
-	}
-}
-
 func TestRuleValidate(t *testing.T) {
 	bad := []Rule{
 		{Name: "m", StartMinute: -1},
@@ -269,17 +249,15 @@ func TestBackoffDoubleRevertSuppressed(t *testing.T) {
 	}
 }
 
-// Property: Filter never returns an action the constraints disallow.
+// Property: NoOp is allowed under every combination of prohibitions,
+// so the smart model's walk down its ranked actions, which skips what
+// the constraints forbid and falls back to NoOp, never ends on a
+// forbidden action.
 func TestPropertyFilterSound(t *testing.T) {
-	f := func(kinds []uint8, noDown, noUp, noSusp, noClus bool) bool {
+	f := func(noDown, noUp, noSusp, noClus bool) bool {
 		cs := Constraints{{Name: "p", NoDownsize: noDown, NoUpsize: noUp,
 			NoSuspendChange: noSusp, NoClusterChange: noClus}}
-		var ranked []action.Action
-		for _, k := range kinds {
-			ranked = append(ranked, action.Action{Kind: action.Kind(int(k) % action.NumKinds)})
-		}
-		got := cs.Filter(t0, cfg(), ranked)
-		return cs.Allows(t0, cfg(), got)
+		return cs.Allows(t0, cfg(), action.Action{Kind: action.NoOp})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -175,12 +175,3 @@ func (l *Ledger) TotalSavings() float64 {
 	}
 	return s
 }
-
-// TotalCharges sums charges across invoices.
-func (l *Ledger) TotalCharges() float64 {
-	var s float64
-	for _, inv := range l.invoices {
-		s += inv.Charge
-	}
-	return s
-}

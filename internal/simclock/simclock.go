@@ -71,12 +71,11 @@ func (h *eventHeap) Pop() any {
 // use; the simulation is single-threaded by design so that runs are
 // deterministic.
 type Scheduler struct {
-	now    time.Time
-	queue  eventHeap
-	seq    uint64
-	seed   int64
-	steps  uint64
-	halted bool
+	now   time.Time
+	queue eventHeap
+	seq   uint64
+	seed  int64
+	steps uint64
 }
 
 // NewScheduler returns a scheduler whose clock starts at Epoch.
@@ -145,9 +144,9 @@ func (s *Scheduler) NextEventTime() (time.Time, bool) {
 }
 
 // Step executes the next event, advancing the clock to its time.
-// It returns false when the queue is empty or the scheduler was halted.
+// It returns false when the queue is empty.
 func (s *Scheduler) Step() bool {
-	if s.halted || len(s.queue) == 0 {
+	if len(s.queue) == 0 {
 		return false
 	}
 	e := heap.Pop(&s.queue).(*Event)
@@ -160,35 +159,16 @@ func (s *Scheduler) Step() bool {
 // RunUntil executes events until the clock would pass t, then sets the
 // clock to exactly t. Events scheduled at exactly t are executed.
 func (s *Scheduler) RunUntil(t time.Time) {
-	for !s.halted && len(s.queue) > 0 && !s.queue[0].At.After(t) {
+	for len(s.queue) > 0 && !s.queue[0].At.After(t) {
 		s.Step()
 	}
-	if !s.halted && t.After(s.now) {
+	if t.After(s.now) {
 		s.now = t
 	}
 }
 
 // RunFor advances the simulation by d.
 func (s *Scheduler) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
-
-// Drain runs every remaining event. maxSteps bounds runaway event chains;
-// it returns an error if the bound is hit.
-func (s *Scheduler) Drain(maxSteps uint64) error {
-	for i := uint64(0); len(s.queue) > 0 && !s.halted; i++ {
-		if i >= maxSteps {
-			return fmt.Errorf("simclock: drain exceeded %d steps with %d events pending", maxSteps, len(s.queue))
-		}
-		s.Step()
-	}
-	return nil
-}
-
-// Halt stops the scheduler: Step and RunUntil become no-ops. Used by
-// experiments that hit a terminal condition mid-run.
-func (s *Scheduler) Halt() { s.halted = true }
-
-// Halted reports whether Halt was called.
-func (s *Scheduler) Halted() bool { return s.halted }
 
 // Rand returns an independent deterministic random stream derived from
 // the scheduler seed and a name. Two streams with different names are
@@ -205,6 +185,3 @@ func (s *Scheduler) SeedFor(name string) int64 {
 	h.Write([]byte(name))
 	return s.seed ^ int64(h.Sum64())
 }
-
-// Elapsed returns the virtual time elapsed since start.
-func Elapsed(start, now time.Time) time.Duration { return now.Sub(start) }

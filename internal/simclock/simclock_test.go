@@ -104,30 +104,6 @@ func TestRunUntilExecutesBoundary(t *testing.T) {
 	}
 }
 
-func TestDrainBound(t *testing.T) {
-	s := NewScheduler(1)
-	var loop func()
-	loop = func() { s.After(time.Second, "loop", loop) }
-	s.After(time.Second, "loop", loop)
-	if err := s.Drain(100); err == nil {
-		t.Fatal("unbounded event chain did not trip drain limit")
-	}
-}
-
-func TestHalt(t *testing.T) {
-	s := NewScheduler(1)
-	n := 0
-	s.After(time.Second, "a", func() { n++; s.Halt() })
-	s.After(2*time.Second, "b", func() { n++ })
-	s.RunFor(time.Hour)
-	if n != 1 {
-		t.Fatalf("executed %d events after halt, want 1", n)
-	}
-	if !s.Halted() {
-		t.Fatal("Halted() = false after Halt")
-	}
-}
-
 func TestRandDeterministicAndDecorrelated(t *testing.T) {
 	a := NewScheduler(42).Rand("alpha")
 	b := NewScheduler(42).Rand("alpha")

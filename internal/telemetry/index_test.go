@@ -253,22 +253,13 @@ func TestQuickselectMatchesSortBased(t *testing.T) {
 	ps := []float64{0, 0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 1}
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(200) + 1
-		xs := make([]float64, n)
-		for i := range xs {
-			if rng.Intn(3) == 0 {
-				xs[i] = float64(rng.Intn(5)) // force ties
-			} else {
-				xs[i] = rng.NormFloat64() * 100
-			}
-		}
-		for _, p := range ps {
-			if got, want := Percentile(xs, p), naivePercentile(xs, p); got != want {
-				t.Fatalf("trial %d p=%v: quickselect %v != sort-based %v", trial, p, got, want)
-			}
-		}
 		ds := make([]time.Duration, n)
 		for i := range ds {
-			ds[i] = time.Duration(rng.Intn(1000)) * time.Millisecond
+			if rng.Intn(3) == 0 {
+				ds[i] = time.Duration(rng.Intn(5)) // force ties
+			} else {
+				ds[i] = time.Duration(rng.NormFloat64() * 1e9)
+			}
 		}
 		ref := make([]float64, n)
 		for i, d := range ds {
@@ -281,24 +272,12 @@ func TestQuickselectMatchesSortBased(t *testing.T) {
 		}
 	}
 	// All-equal inputs hit the degenerate-pivot bailout.
-	same := make([]float64, 5000)
+	same := make([]time.Duration, 5000)
 	for i := range same {
 		same[i] = 7
 	}
-	if got := Percentile(same, 0.99); got != 7 {
+	if got := percentileDur(same, 0.99); got != 7 {
 		t.Fatalf("all-equal percentile = %v, want 7", got)
-	}
-}
-
-// Exported Percentile must not reorder its input.
-func TestPercentileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5}
-	orig := append([]float64(nil), xs...)
-	Percentile(xs, 0.5)
-	for i := range xs {
-		if xs[i] != orig[i] {
-			t.Fatalf("Percentile mutated input at %d", i)
-		}
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 
 // Snapshot serialization: a Store can be written as JSON lines and read
 // back, so telemetry survives process restarts and can be shipped
-// between tools (e.g. record a production-shaped run with kwo-sim,
-// inspect it later with kwo-dashboard). Each line is a tagged record.
+// between tools (Simulation.WriteSnapshot records a run; ReadSnapshot
+// loads it back). Each line is a tagged record.
 
 type snapshotLine struct {
 	Kind    string          `json:"kind"` // "query" | "event" | "change" | "billing"

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"cmp"
 	"math"
 	"time"
 
@@ -109,19 +108,6 @@ func (l *WarehouseLog) Stats(from, to time.Time) WindowStats {
 	return ws
 }
 
-// Series computes consecutive WindowStats of width step over [from, to).
-func (l *WarehouseLog) Series(from, to time.Time, step time.Duration) []WindowStats {
-	var out []WindowStats
-	for t := from; t.Before(to); t = t.Add(step) {
-		end := t.Add(step)
-		if end.After(to) {
-			end = to
-		}
-		out = append(out, l.Stats(t, end))
-	}
-	return out
-}
-
 // nearestRank maps a quantile p (0..1) over n values to a 0-based
 // order-statistic index, clamped to the valid range.
 func nearestRank(n int, p float64) int {
@@ -145,23 +131,12 @@ func percentileDur(ds []time.Duration, p float64) time.Duration {
 	return quickselect(ds, nearestRank(len(ds), p))
 }
 
-// Percentile exposes the nearest-rank quantile for float64 slices,
-// shared by dashboards and experiments. The input is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	scratch := make([]float64, len(xs))
-	copy(scratch, xs)
-	return quickselect(scratch, nearestRank(len(xs), p))
-}
-
 // quickselect returns the k-th smallest element (0-based) of a,
 // reordering a in place with zero allocation. Median-of-three
 // pivoting, an insertion-sort fallback for small ranges and
 // pathological pivot sequences; the returned value is the exact order
 // statistic a full sort would produce.
-func quickselect[T cmp.Ordered](a []T, k int) T {
+func quickselect(a []time.Duration, k int) time.Duration {
 	lo, hi := 0, len(a)-1
 	for depth := 0; lo < hi; depth++ {
 		if hi-lo < 12 || depth > 64 {
@@ -181,7 +156,7 @@ func quickselect[T cmp.Ordered](a []T, k int) T {
 	return a[k]
 }
 
-func insertionSort[T cmp.Ordered](a []T, lo, hi int) {
+func insertionSort(a []time.Duration, lo, hi int) {
 	for i := lo + 1; i <= hi; i++ {
 		for j := i; j > lo && a[j] < a[j-1]; j-- {
 			a[j], a[j-1] = a[j-1], a[j]
@@ -191,7 +166,7 @@ func insertionSort[T cmp.Ordered](a []T, lo, hi int) {
 
 // partition orders a[lo..hi] around a median-of-three pivot and returns
 // the pivot's final index.
-func partition[T cmp.Ordered](a []T, lo, hi int) int {
+func partition(a []time.Duration, lo, hi int) int {
 	mid := lo + (hi-lo)/2
 	if a[mid] < a[lo] {
 		a[mid], a[lo] = a[lo], a[mid]

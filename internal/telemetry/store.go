@@ -290,15 +290,6 @@ func (l *WarehouseLog) queryRange(from, to time.Time) (lo, hi int) {
 // ---------------------------------------------------------------------
 // Range queries.
 
-// QueriesBetween returns a copy of the query records with EndTime in
-// [from, to). Use QueriesBetweenView on hot paths that only read.
-func (l *WarehouseLog) QueriesBetween(from, to time.Time) []cdw.QueryRecord {
-	v := l.QueriesBetweenView(from, to)
-	out := make([]cdw.QueryRecord, len(v))
-	copy(out, v)
-	return out
-}
-
 // QueriesBetweenView returns the query records with EndTime in
 // [from, to) as a sub-slice view of the log: no copy, no allocation.
 // The view is read-only and valid until the next record is ingested.
@@ -359,17 +350,6 @@ func (l *WarehouseLog) ensureChangeIndex() {
 	l.chN = len(l.Changes)
 }
 
-// ChangesBetween returns a copy of the config changes in [from, to).
-func (l *WarehouseLog) ChangesBetween(from, to time.Time) []cdw.ConfigChange {
-	v := l.ChangesBetweenView(from, to)
-	if len(v) == 0 {
-		return nil
-	}
-	out := make([]cdw.ConfigChange, len(v))
-	copy(out, v)
-	return out
-}
-
 // ChangesBetweenView returns the config changes in [from, to) as a
 // read-only sub-slice view when the change log is time-sorted (the
 // audit log always is), falling back to a filtered copy otherwise.
@@ -424,21 +404,6 @@ func (l *WarehouseLog) ConfigAt(t time.Time, initial cdw.Config) cdw.Config {
 		cfg = c.After
 	}
 	return cfg
-}
-
-// LastQueryBefore returns the most recent query that ended before t,
-// or false if none exists.
-func (l *WarehouseLog) LastQueryBefore(t time.Time) (cdw.QueryRecord, bool) {
-	if l == nil {
-		return cdw.QueryRecord{}, false
-	}
-	i := sort.Search(len(l.Queries), func(i int) bool {
-		return !l.Queries[i].EndTime.Before(t)
-	})
-	if i == 0 {
-		return cdw.QueryRecord{}, false
-	}
-	return l.Queries[i-1], true
 }
 
 // AddBilling ingests billing-history rows (§6.1: "The metadata used in

@@ -53,7 +53,7 @@ func TestQueriesBetween(t *testing.T) {
 		s.OnQuery(rec("W", t0.Add(time.Duration(i)*time.Minute), 0, 30*time.Second, 1, cdw.SizeXSmall, false))
 	}
 	l := s.Log("W")
-	got := l.QueriesBetween(t0.Add(2*time.Minute), t0.Add(5*time.Minute))
+	got := l.QueriesBetweenView(t0.Add(2*time.Minute), t0.Add(5*time.Minute))
 	// EndTimes are at i minutes + 30s; those in [2m, 5m) are i=2,3,4... i=1 ends at 1m30s <2m. i=4 ends 4m30s <5m.
 	if len(got) != 3 {
 		t.Fatalf("window rows = %d, want 3", len(got))
@@ -132,29 +132,13 @@ func TestNewTemplatesDetection(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 6; i++ {
-		s.OnQuery(rec("W", t0.Add(time.Duration(i)*10*time.Minute), 0, time.Second, 1, cdw.SizeXSmall, false))
-	}
-	series := s.Log("W").Series(t0, t0.Add(time.Hour), 20*time.Minute)
-	if len(series) != 3 {
-		t.Fatalf("series length = %d, want 3", len(series))
-	}
-	for i, ws := range series {
-		if ws.Queries != 2 {
-			t.Fatalf("window %d queries = %d, want 2", i, ws.Queries)
-		}
-	}
-}
-
 func TestEmptyStatsSafe(t *testing.T) {
 	s := NewStore()
 	var nilLog *WarehouseLog
 	if ws := nilLog.Stats(t0, t0.Add(time.Hour)); ws.Queries != 0 {
 		t.Fatal("nil log stats nonzero")
 	}
-	if got := nilLog.QueriesBetween(t0, t0.Add(time.Hour)); len(got) != 0 {
+	if got := nilLog.QueriesBetweenView(t0, t0.Add(time.Hour)); len(got) != 0 {
 		t.Fatal("nil log returned queries")
 	}
 	ws := s.log("W").Stats(t0, t0.Add(time.Hour))
@@ -220,27 +204,9 @@ func TestGaps(t *testing.T) {
 	}
 }
 
-func TestLastQueryBefore(t *testing.T) {
-	s := NewStore()
-	s.OnQuery(rec("W", t0, 0, time.Second, 1, cdw.SizeXSmall, false))
-	s.OnQuery(rec("W", t0.Add(time.Hour), 0, time.Second, 2, cdw.SizeXSmall, false))
-	l := s.Log("W")
-	if _, ok := l.LastQueryBefore(t0); ok {
-		t.Fatal("found query before any ended")
-	}
-	q, ok := l.LastQueryBefore(t0.Add(30 * time.Minute))
-	if !ok || q.TemplateHash != 1 {
-		t.Fatalf("last before 30m = %+v ok=%v", q, ok)
-	}
-	q, ok = l.LastQueryBefore(t0.Add(2 * time.Hour))
-	if !ok || q.TemplateHash != 2 {
-		t.Fatalf("last before 2h = %+v ok=%v", q, ok)
-	}
-}
-
-// Property: Percentile is monotone in p and bounded by min/max.
+// Property: percentileDur is monotone in p and bounded by min/max.
 func TestPropertyPercentile(t *testing.T) {
-	f := func(raw []float64, a, b uint8) bool {
+	f := func(raw []int64, a, b uint8) bool {
 		if len(raw) == 0 {
 			return true
 		}
@@ -249,20 +215,21 @@ func TestPropertyPercentile(t *testing.T) {
 		if p1 > p2 {
 			p1, p2 = p2, p1
 		}
-		v1, v2 := Percentile(raw, p1), Percentile(raw, p2)
-		if v1 > v2 {
-			return false
+		ds := make([]time.Duration, len(raw))
+		for i, x := range raw {
+			ds[i] = time.Duration(x)
 		}
-		lo, hi := raw[0], raw[0]
-		for _, x := range raw {
-			if x < lo {
-				lo = x
+		lo, hi := ds[0], ds[0]
+		for _, d := range ds {
+			if d < lo {
+				lo = d
 			}
-			if x > hi {
-				hi = x
+			if d > hi {
+				hi = d
 			}
 		}
-		return v1 >= lo && v2 <= hi
+		v1, v2 := percentileDur(ds, p1), percentileDur(ds, p2)
+		return v1 <= v2 && v1 >= lo && v2 <= hi
 	}
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(5))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -270,8 +237,8 @@ func TestPropertyPercentile(t *testing.T) {
 	}
 }
 
-// Property: Stats windows partition counts — the sum over a series
-// equals the total.
+// Property: Stats windows partition counts — the sum over consecutive
+// windows equals the total.
 func TestPropertySeriesPartition(t *testing.T) {
 	f := func(offsets []uint16) bool {
 		s := NewStore()
@@ -282,8 +249,12 @@ func TestPropertySeriesPartition(t *testing.T) {
 		to := t0.Add(time.Duration(65536+1) * time.Second)
 		total := s.Log("W").Stats(t0, to).Queries
 		sum := 0
-		for _, ws := range s.Log("W").Series(t0, to, 1000*time.Second) {
-			sum += ws.Queries
+		for from := t0; from.Before(to); from = from.Add(1000 * time.Second) {
+			end := from.Add(1000 * time.Second)
+			if end.After(to) {
+				end = to
+			}
+			sum += s.Log("W").Stats(from, end).Queries
 		}
 		return sum == total && total == len(offsets)
 	}

@@ -307,16 +307,12 @@ func (o *Optimizer) EstimateSavings(warehouse string, from, to time.Time) (actua
 	return o.engine.EstimateSavings(warehouse, from, to)
 }
 
-// Portal returns the HTTP API service of §4.1 — a JSON interface over
-// this optimizer's dashboards, sliders, constraints, invoices and
-// action log. Mount it on any net/http server.
-func (o *Optimizer) Portal() http.Handler {
-	return api.NewServer(api.Backend{Engine: o.engine, Acct: o.sim.acct})
-}
-
-// PortalWithAdvance returns the same API, calling advance (under the
-// portal's lock) before each request — used to drive virtual time
-// forward in lock-step with wall time for a live demo server.
+// PortalWithAdvance returns the HTTP API service of §4.1, a JSON
+// interface over this optimizer's dashboards, sliders, constraints,
+// invoices and action log; mount it on any net/http server. A non-nil
+// advance is called (under the portal's lock) before each request, to
+// drive virtual time forward in lock-step with wall time for a live
+// demo server.
 func (o *Optimizer) PortalWithAdvance(advance func()) http.Handler {
 	return api.NewServer(api.Backend{Engine: o.engine, Acct: o.sim.acct, Advance: advance})
 }

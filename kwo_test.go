@@ -278,7 +278,7 @@ func TestPublicAPIPortal(t *testing.T) {
 	opt := sim.NewOptimizer(kwo.DefaultOptions())
 	opt.Attach("W", kwo.Settings{Slider: kwo.Balanced})
 
-	srv := httptest.NewServer(opt.Portal())
+	srv := httptest.NewServer(opt.PortalWithAdvance(nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/api/v1/warehouses/W")
 	if err != nil {

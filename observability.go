@@ -23,10 +23,6 @@ type (
 	ObsMetricSpec = obs.MetricSpec
 )
 
-// ObsCatalog returns the full metric catalog every hub registers at
-// creation — the contract the CI scrape check enforces.
-func ObsCatalog() []ObsMetricSpec { return obs.Catalog() }
-
 // Obs returns the simulation's observability hub. Warehouse- and
 // telemetry-level instrumentation (injected faults, audit writes, query
 // latency histograms) lands here even before any optimizer exists;
