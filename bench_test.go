@@ -220,30 +220,37 @@ func BenchmarkCostModelTrain(b *testing.B) {
 	}
 }
 
+// offlineHistory simulates days of the benchmark's warehouse-optimize
+// warehouse (Large, 1–2 clusters, 10-minute auto-suspend, BI
+// dashboards at a 300 queries/h weekday peak) from simclock.Epoch and
+// returns its log, its configuration, the end of the history and the
+// cost model trained on it.
+func offlineHistory(days int) (*telemetry.WarehouseLog, cdw.Config, time.Time, *costmodel.Model) {
+	sched := simclock.NewScheduler(1)
+	acct := cdw.NewAccount(sched, cdw.DefaultSimParams())
+	store := telemetry.NewStore()
+	acct.Subscribe(store)
+	cfg := cdw.Config{Name: "W", Size: cdw.SizeLarge, MinClusters: 1, MaxClusters: 2,
+		Policy: cdw.ScaleStandard, AutoSuspend: 10 * time.Minute, AutoResume: true}
+	acct.CreateWarehouse(cfg)
+	pool, _, _ := workload.StandardPools()
+	gen := workload.BI{Pool: pool, PeakQPH: 300, WeekendFactor: 0.2}
+	end := simclock.Epoch.Add(time.Duration(days) * 24 * time.Hour)
+	workload.Drive(sched, acct, "W", gen.Generate(simclock.Epoch, end, sched.Rand("wl")))
+	sched.RunUntil(end.Add(time.Hour))
+	log := store.Log("W")
+	return log, cfg, end, costmodel.Train(log, cfg, simclock.Epoch, end, acct.Params().MaxConcurrency)
+}
+
 // BenchmarkOfflineTransitions measures building one retrain's offline
 // RL dataset (Algorithm 1's model-based replay): every 10-minute
 // window of the history, times every action, priced by the cost
-// model's PredictImpact. The warehouse is the benchmark's
-// warehouse-optimize one: Large, 1–2 clusters, 10-minute auto-suspend,
-// BI dashboards at a 300 queries/h weekday peak.
+// model's PredictImpact, over offlineHistory's warehouse.
 func BenchmarkOfflineTransitions(b *testing.B) {
 	for _, days := range []int{7, 30} {
 		b.Run(fmt.Sprintf("%dd", days), func(b *testing.B) {
-			sched := simclock.NewScheduler(1)
-			acct := cdw.NewAccount(sched, cdw.DefaultSimParams())
-			store := telemetry.NewStore()
-			acct.Subscribe(store)
-			cfg := cdw.Config{Name: "W", Size: cdw.SizeLarge, MinClusters: 1, MaxClusters: 2,
-				Policy: cdw.ScaleStandard, AutoSuspend: 10 * time.Minute, AutoResume: true}
-			acct.CreateWarehouse(cfg)
-			pool, _, _ := workload.StandardPools()
-			gen := workload.BI{Pool: pool, PeakQPH: 300, WeekendFactor: 0.2}
-			end := simclock.Epoch.Add(time.Duration(days) * 24 * time.Hour)
-			workload.Drive(sched, acct, "W", gen.Generate(simclock.Epoch, end, sched.Rand("wl")))
-			sched.RunUntil(end.Add(time.Hour))
-			log := store.Log("W")
+			log, cfg, end, model := offlineHistory(days)
 			opts := core.DefaultOptions()
-			model := costmodel.Train(log, cfg, simclock.Epoch, end, acct.Params().MaxConcurrency)
 			tuning := core.DefaultSettings().Slider.Tuning()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -303,6 +310,33 @@ func BenchmarkDQNPretrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agent.Pretrain(nil, 1500)
+	}
+}
+
+// BenchmarkDQNPretrainOffline measures one production retrain's
+// training pass, PretrainSteps minibatch steps, over the buffer that
+// production retrains leave: five rounds of OfflineTransitions from
+// offlineHistory's 7-day warehouse fill the production agent's buffer
+// to its capacity. No offline transition is terminal, so unlike in
+// BenchmarkDQNPretrain, where a quarter are, every sample evaluates
+// the target network.
+func BenchmarkDQNPretrainOffline(b *testing.B) {
+	log, cfg, end, model := offlineHistory(7)
+	opts := core.DefaultOptions()
+	tuning := core.DefaultSettings().Slider.Tuning()
+	agent := rl.NewAgent(rand.New(rand.NewSource(1)), opts.RL)
+	for round := 0; round < 5; round++ {
+		agent.Pretrain(core.OfflineTransitions(log, model, cfg, simclock.Epoch, end, opts.DecideEvery, tuning), 0)
+	}
+	if agent.BufferLen() != opts.RL.BufferSize {
+		b.Fatalf("buffer holds %d transitions, want its capacity %d", agent.BufferLen(), opts.RL.BufferSize)
+	}
+	agent.Pretrain(nil, 1) // builds the networks' scratch
+	runtime.GC()           // as in BenchmarkDQNStep
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agent.Pretrain(nil, opts.PretrainSteps)
 	}
 }
 

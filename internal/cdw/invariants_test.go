@@ -211,11 +211,16 @@ func TestCacheCapacityEviction(t *testing.T) {
 }
 
 // TestEconomyScaleInSlower verifies Economy retires spare clusters
-// later than Standard.
+// later than Standard. The clock starts when the load first fits in one
+// cluster, which is when the scale-in checks start counting, and
+// advances 5 s at a time, so a spare cluster cannot retire unseen
+// between two steps.
 func TestEconomyScaleInSlower(t *testing.T) {
+	const step = 5 * time.Second
 	scaleInTime := func(policy ScalingPolicy) time.Duration {
 		sched := simclock.NewScheduler(1)
-		acct := NewAccount(sched, DefaultSimParams())
+		params := DefaultSimParams()
+		acct := NewAccount(sched, params)
 		cfg := Config{Name: "W", Size: SizeXSmall, MinClusters: 1, MaxClusters: 2,
 			Policy: policy, AutoSuspend: 2 * time.Hour, AutoResume: true}
 		wh, _ := acct.CreateWarehouse(cfg)
@@ -234,14 +239,12 @@ func TestEconomyScaleInSlower(t *testing.T) {
 		if wh.ActiveClusters() < 2 {
 			return 0
 		}
-		// Wait for all queries to finish, then measure time until the
-		// spare cluster retires.
-		for wh.RunningQueries() > 0 || wh.QueueLength() > 0 {
-			sched.RunFor(10 * time.Minute)
+		for wh.RunningQueries()+wh.QueueLength() > params.MaxConcurrency {
+			sched.RunFor(step)
 		}
 		start := sched.Now()
 		for wh.ActiveClusters() > 1 {
-			sched.RunFor(time.Minute)
+			sched.RunFor(step)
 			if sched.Now().Sub(start) > 2*time.Hour {
 				break
 			}
@@ -251,8 +254,9 @@ func TestEconomyScaleInSlower(t *testing.T) {
 	std := scaleInTime(ScaleStandard)
 	eco := scaleInTime(ScaleEconomy)
 	if std == 0 || eco == 0 {
-		t.Skip("could not provoke scale-out")
+		t.Fatalf("no spare cluster to retire: standard %v, economy %v", std, eco)
 	}
+	t.Logf("spare cluster retired after %v (standard), %v (economy)", std, eco)
 	if eco <= std {
 		t.Fatalf("economy scale-in (%v) not slower than standard (%v)", eco, std)
 	}

@@ -10,42 +10,11 @@ import (
 type Activation int
 
 const (
-	// ActReLU is max(0, x).
+	// ActReLU is the rectifier: 0 where x < 0, else x.
 	ActReLU Activation = iota
-	// ActTanh is the hyperbolic tangent.
-	ActTanh
 	// ActIdentity passes values through (output layers of regressors).
 	ActIdentity
 )
-
-func (a Activation) apply(x float64) float64 {
-	switch a {
-	case ActReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
-	case ActTanh:
-		return math.Tanh(x)
-	default:
-		return x
-	}
-}
-
-// derivative is expressed in terms of the activation output y.
-func (a Activation) derivative(y float64) float64 {
-	switch a {
-	case ActReLU:
-		if y > 0 {
-			return 1
-		}
-		return 0
-	case ActTanh:
-		return 1 - y*y
-	default:
-		return 1
-	}
-}
 
 type layer struct {
 	w   *Matrix // out × in
@@ -69,9 +38,11 @@ type MLP struct {
 
 	// Scratch, built on first use: acts[0] aliases the current input
 	// and acts[i+1] holds layer i's activations; deltas[i] holds the
-	// error at layer i's output during TrainStep.
+	// error at layer i's output during TrainStep, and live the indices
+	// of one layer's rows whose error is non-zero.
 	acts   [][]float64
 	deltas [][]float64
+	live   []int
 }
 
 // NewMLP builds a network with the given layer widths, e.g.
@@ -111,30 +82,42 @@ func (m *MLP) Widths() []int {
 // Forward evaluates the network on one input vector. The result is the
 // network's own output buffer: it stays valid until the next Forward or
 // TrainStep on this network, and callers that keep it must copy it.
+// After a masked TrainStep the buffer holds fresh values only at the
+// masked outputs.
 func (m *MLP) Forward(x []float64) []float64 {
-	acts := m.forward(x)
-	return acts[len(acts)-1]
+	return m.forward(x, nil)
 }
 
-// forward evaluates the network into its scratch and returns the
-// activations per layer (acts[0] is x itself).
-func (m *MLP) forward(x []float64) [][]float64 {
+// forward evaluates the network into its scratch and returns its output
+// buffer. Every hidden unit is evaluated; of the output layer, only the
+// units mask selects, or all of them if mask is nil.
+func (m *MLP) forward(x []float64, mask []bool) []float64 {
 	if m.acts == nil {
 		m.acts = make([][]float64, len(m.layers)+1)
 		m.deltas = make([][]float64, len(m.layers))
+		widest := 0
 		for i, l := range m.layers {
 			m.acts[i+1] = make([]float64, l.w.Rows)
 			m.deltas[i] = make([]float64, l.w.Rows)
+			widest = max(widest, l.w.Rows)
 		}
+		m.live = make([]int, widest)
 	}
 	if len(x) != m.layers[0].w.Cols {
 		panic(fmt.Sprintf("ml: input length %d, network takes %d", len(x), m.layers[0].w.Cols))
 	}
 	m.acts[0] = x
-	for li := range m.layers {
+	last := len(m.layers) - 1
+	for li := range m.layers[:last] {
 		m.layers[li].eval(m.acts[li], m.acts[li+1])
 	}
-	return m.acts
+	out := m.acts[last+1]
+	if mask == nil {
+		m.layers[last].eval(m.acts[last], out)
+	} else {
+		m.layers[last].evalMasked(m.acts[last], out, mask)
+	}
+	return out
 }
 
 // eval writes the layer's activations on input in to out, four units
@@ -143,7 +126,8 @@ func (m *MLP) forward(x []float64) [][]float64 {
 // another. Every unit still sums w*in[j] from j = 0 and then adds its
 // bias, the order and expression shape of Matrix.MulVec, so the result
 // is bit-identical to evaluating one unit at a time. The last
-// len(out)%4 units run one at a time.
+// len(out)%4 units run one at a time. The activation then runs in one
+// pass over out.
 func (l *layer) eval(in, out []float64) {
 	n := len(in)
 	w, b := l.w.Data, l.b
@@ -161,40 +145,82 @@ func (l *layer) eval(in, out []float64) {
 			s3 += r3[j] * x
 		}
 		bi, oi := b[i:i+4], out[i:i+4]
-		s0 += bi[0]
-		s1 += bi[1]
-		s2 += bi[2]
-		s3 += bi[3]
-		oi[0] = l.act.apply(s0)
-		oi[1] = l.act.apply(s1)
-		oi[2] = l.act.apply(s2)
-		oi[3] = l.act.apply(s3)
+		oi[0] = s0 + bi[0]
+		oi[1] = s1 + bi[1]
+		oi[2] = s2 + bi[2]
+		oi[3] = s3 + bi[3]
 	}
 	for ; i < len(out); i++ {
-		r := w[i*n:][:n]
-		var s float64
-		for j, x := range in {
-			s += r[j] * x
+		out[i] = l.sum(i, in)
+	}
+	l.activate(out)
+}
+
+// evalMasked writes the activations of the units mask selects, one at a
+// time, and leaves the rest of out as it was.
+func (l *layer) evalMasked(in, out []float64, mask []bool) {
+	for i := range out {
+		if mask[i] {
+			out[i] = l.sum(i, in)
+			l.activate(out[i : i+1])
 		}
-		s += b[i]
-		out[i] = l.act.apply(s)
+	}
+}
+
+// sum returns unit i's weighted sum of in plus its bias, before the
+// activation.
+func (l *layer) sum(i int, in []float64) float64 {
+	r := l.w.Data[i*len(in):][:len(in)]
+	var s float64
+	for j, x := range in {
+		s += r[j] * x
+	}
+	return s + l.b[i]
+}
+
+// activate applies the layer's activation to v in place. ReLU is
+// x < 0 ? 0 : x, selected on the bits (+0's are all zero) so that the
+// compiler emits a conditional move: a unit's sign is data, and a
+// branch on it mispredicts about every other unit. The builtin
+// max(x, 0) is not the same function bit for bit: it returns +0 for −0
+// and may flip a NaN's sign.
+func (l *layer) activate(v []float64) {
+	if l.act != ActReLU {
+		return
+	}
+	for i, x := range v {
+		b := math.Float64bits(x)
+		if x < 0 {
+			b = 0
+		}
+		v[i] = math.Float64frombits(b)
 	}
 }
 
 // TrainStep performs one backpropagation step toward target on a single
 // example, minimizing ½‖out − target‖². mask, if non-nil, zeroes the
 // error on unmasked outputs — the DQN updates only the taken action's
-// Q-value. Returns the (masked) squared error before the step. target
-// must not be this network's own Forward output, which the step's
-// forward pass overwrites.
+// Q-value — and the step's forward pass then evaluates the masked
+// outputs only, so the output buffer Forward returns holds fresh values
+// at those units alone. Returns the (masked) squared error before the
+// step. target must not be this network's own Forward output, which the
+// step's forward pass overwrites.
+//
+// The step is bit-identical to the textbook one that walks every row of
+// every layer in order, adds row[j]*delta to the error at the layer's
+// input and then takes the row's SGD step (trainStepNaive in
+// naive_test.go). Rows whose error is zero change nothing there, so
+// only the live rows are walked, four per sweep over the input (see
+// layer.backward); each sum still takes its terms in row order and in
+// the same expression shape.
 func (m *MLP) TrainStep(x, target []float64, mask []bool) float64 {
-	acts := m.forward(x)
-	out := acts[len(acts)-1]
+	out := m.forward(x, mask)
 	if len(target) != len(out) {
 		panic(fmt.Sprintf("ml: target length %d, output %d", len(target), len(out)))
 	}
-	// Output delta.
-	delta := m.deltas[len(m.deltas)-1]
+	// Output error; layer.liveRows scales it by the derivative.
+	last := len(m.layers) - 1
+	delta := m.deltas[last]
 	var loss float64
 	for i := range out {
 		if mask != nil && !mask[i] {
@@ -202,7 +228,7 @@ func (m *MLP) TrainStep(x, target []float64, mask []bool) float64 {
 			continue
 		}
 		e := out[i] - target[i]
-		delta[i] = e * m.layers[len(m.layers)-1].act.derivative(out[i])
+		delta[i] = e
 		loss += e * e
 	}
 	lr := m.LearningRate
@@ -210,40 +236,130 @@ func (m *MLP) TrainStep(x, target []float64, mask []bool) float64 {
 		lr = 1e-3
 	}
 	// Backpropagate layer by layer.
-	for li := len(m.layers) - 1; li >= 0; li-- {
-		l := m.layers[li]
-		in := acts[li]
-		var nextDelta []float64
-		if li > 0 {
-			nextDelta = m.deltas[li-1]
-			clear(nextDelta)
+	for li := last; li >= 0; li-- {
+		l := &m.layers[li]
+		live := m.live[:l.liveRows(m.acts[li+1], delta, m.live)]
+		if li == 0 {
+			l.update(m.acts[0], delta, live, lr, m.GradClip)
+			break
 		}
-		for i := 0; i < l.w.Rows; i++ {
-			d := delta[i]
-			if d == 0 {
-				continue
-			}
-			if m.GradClip > 0 {
-				d = Clamp(d, -m.GradClip, m.GradClip)
-			}
-			row := l.w.Row(i)
-			for j := range row {
-				if nextDelta != nil {
-					nextDelta[j] += row[j] * delta[i]
-				}
-				row[j] -= lr * d * in[j]
-			}
-			l.b[i] -= lr * d
-		}
-		if li > 0 {
-			prevAct := m.layers[li-1].act
-			for j := range nextDelta {
-				nextDelta[j] *= prevAct.derivative(acts[li][j])
-			}
-			delta = nextDelta
-		}
+		l.backward(m.acts[li], delta, m.deltas[li-1], live, lr, m.GradClip)
+		delta = m.deltas[li-1]
 	}
 	return loss
+}
+
+// liveRows turns delta, the error at the layer's output y, into the
+// error at its pre-activation sums by multiplying it by the
+// activation's derivative, and writes the indices of the rows whose
+// error is then non-zero to live, returning how many there are. ReLU's
+// derivative is 1 where y > 0 and 0 elsewhere, selected on the bits as
+// in activate; the identity's is 1, and x*1 is x. Neither the
+// derivative nor the count branches on the data.
+func (l *layer) liveRows(y, delta []float64, live []int) int {
+	y, live = y[:len(delta)], live[:len(delta)]
+	n := 0
+	if l.act == ActReLU {
+		for i, d := range delta {
+			var g uint64
+			if y[i] > 0 {
+				g = 0x3ff0000000000000 // 1.0
+			}
+			d *= math.Float64frombits(g)
+			delta[i] = d
+			live[n] = i
+			if d != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	for i, d := range delta {
+		live[n] = i
+		if d != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// backward writes to next the error at the layer's input, the sum over
+// the live rows of row[j]*delta[row], and takes each live row's SGD
+// step in the same sweep. It walks the live rows four per sweep over
+// the input, so each next[j] is loaded and stored, and each weight
+// loaded, once per four rows; the adds into next[j] stay in row order.
+// The error passed down uses each row's weights before its step and its
+// unclipped delta.
+func (l *layer) backward(in, delta, next []float64, live []int, lr, clip float64) {
+	n := len(in)
+	next = next[:n]
+	clear(next)
+	w, b := l.w.Data, l.b
+	k := 0
+	for ; k+4 <= len(live); k += 4 {
+		i0, i1, i2, i3 := live[k], live[k+1], live[k+2], live[k+3]
+		r0 := w[i0*n:][:n]
+		r1 := w[i1*n:][:n]
+		r2 := w[i2*n:][:n]
+		r3 := w[i3*n:][:n]
+		d0, d1, d2, d3 := delta[i0], delta[i1], delta[i2], delta[i3]
+		a0, a1, a2, a3 := lr*clipped(d0, clip), lr*clipped(d1, clip), lr*clipped(d2, clip), lr*clipped(d3, clip)
+		for j, t := range next {
+			w0, w1, w2, w3 := r0[j], r1[j], r2[j], r3[j]
+			t += w0 * d0
+			t += w1 * d1
+			t += w2 * d2
+			t += w3 * d3
+			next[j] = t
+			x := in[j]
+			r0[j] = w0 - a0*x
+			r1[j] = w1 - a1*x
+			r2[j] = w2 - a2*x
+			r3[j] = w3 - a3*x
+		}
+		b[i0] -= a0
+		b[i1] -= a1
+		b[i2] -= a2
+		b[i3] -= a3
+	}
+	for ; k < len(live); k++ {
+		i := live[k]
+		r := w[i*n:][:n]
+		d := delta[i]
+		for j, x := range r {
+			next[j] += x * d
+		}
+		l.step(r, in, i, d, lr, clip)
+	}
+}
+
+// update takes the SGD step of each live row of the first layer, which
+// passes no error further down.
+func (l *layer) update(in, delta []float64, live []int, lr, clip float64) {
+	n := len(in)
+	for _, i := range live {
+		l.step(l.w.Data[i*n:][:n], in, i, delta[i], lr, clip)
+	}
+}
+
+// step moves row i and its bias against the gradient of error d:
+// row[j] -= lr*d*in[j] and b[i] -= lr*d, with d clipped. Go evaluates
+// lr*d*in[j] as (lr*d)*in[j], so hoisting lr*d keeps the bits.
+func (l *layer) step(row, in []float64, i int, d, lr, clip float64) {
+	a := lr * clipped(d, clip)
+	row = row[:len(in)]
+	for j, x := range in {
+		row[j] -= a * x
+	}
+	l.b[i] -= a
+}
+
+// clipped bounds the error d to ±clip when clip > 0.
+func clipped(d, clip float64) float64 {
+	if clip > 0 {
+		return Clamp(d, -clip, clip)
+	}
+	return d
 }
 
 // Clone returns a deep copy — used for DQN target networks. The copy

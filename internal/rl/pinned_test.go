@@ -33,10 +33,9 @@ func pinStates() [][]float64 {
 // with Act. The hash covers the Q-values over 64 fixed states, the
 // online losses and the chosen actions, so any change to an
 // accumulation order, the RNG draw order or the target sync shows.
-func pinnedQHash(t *testing.T, double bool) uint64 {
+func pinnedQHash(t *testing.T) uint64 {
 	t.Helper()
 	c := DefaultConfig()
-	c.DoubleDQN = double
 	c.SyncEvery = 50
 	a := NewAgent(rand.New(rand.NewSource(21)), c)
 	states := pinStates()
@@ -81,24 +80,16 @@ func pinnedQHash(t *testing.T, double bool) uint64 {
 	return h.Sum64()
 }
 
-// TestDQNTrainingPinned pins the learning loop bit for bit: the hashes
-// were recorded before the loop was made allocation-free, and any
-// rewrite of the network or the agent must reproduce them exactly, for
-// vanilla and Double DQN alike. They were recorded on amd64 at the
-// default GOAMD64 level, where Go does not fuse multiply-adds; a
-// platform that fuses them, such as arm64, computes other bits, as the
-// golden traces would.
+// TestDQNTrainingPinned pins the learning loop bit for bit: the hash
+// was recorded before the loop was made allocation-free, and any
+// rewrite of the network or the agent must reproduce it exactly. It was
+// recorded on amd64 at the default GOAMD64 level, where Go does not
+// fuse multiply-adds; a platform that fuses them, such as arm64,
+// computes other bits, as the golden traces would.
 func TestDQNTrainingPinned(t *testing.T) {
-	for _, c := range []struct {
-		double bool
-		want   uint64
-	}{
-		{false, 0x2b9b47fbd1356147},
-		{true, 0xb33ae8cf3bc6fb53},
-	} {
-		if got := pinnedQHash(t, c.double); got != c.want {
-			t.Errorf("DoubleDQN=%v: Q hash = %#x, want %#x", c.double, got, c.want)
-		}
+	const want = 0x2b9b47fbd1356147
+	if got := pinnedQHash(t); got != want {
+		t.Errorf("Q hash = %#x, want %#x", got, uint64(want))
 	}
 }
 
@@ -137,29 +128,26 @@ func TestAgentAllocsZero(t *testing.T) {
 		t.Skip("allocation accounting differs under -race")
 	}
 	states := pinStates()
-	for _, double := range []bool{false, true} {
-		c := DefaultConfig()
-		c.DoubleDQN = double
-		a := NewAgent(rand.New(rand.NewSource(3)), c)
-		var history []ml.Transition
-		for i := 0; i < 4*c.BatchSize; i++ {
-			history = append(history, ml.Transition{State: states[i%64], Action: i % action.NumKinds,
-				Reward: 1, NextState: states[(i+1)%64], Terminal: i%4 == 0})
-		}
-		a.Pretrain(history, 1)
-		tr := history[1]
-		for _, op := range []struct {
-			name string
-			f    func()
-			want float64
-		}{
-			{"Pretrain(nil, 10)", func() { a.Pretrain(nil, 10) }, 0},
-			{"Observe", func() { a.Observe(tr) }, 0},
-			{"Rank", func() { a.Rank(states[0]) }, 1},
-		} {
-			if n := testing.AllocsPerRun(20, op.f); n != op.want {
-				t.Errorf("DoubleDQN=%v %s: %v allocs/op, want %v", double, op.name, n, op.want)
-			}
+	c := DefaultConfig()
+	a := NewAgent(rand.New(rand.NewSource(3)), c)
+	var history []ml.Transition
+	for i := 0; i < 4*c.BatchSize; i++ {
+		history = append(history, ml.Transition{State: states[i%64], Action: i % action.NumKinds,
+			Reward: 1, NextState: states[(i+1)%64], Terminal: i%4 == 0})
+	}
+	a.Pretrain(history, 1)
+	tr := history[1]
+	for _, op := range []struct {
+		name string
+		f    func()
+		want float64
+	}{
+		{"Pretrain(nil, 10)", func() { a.Pretrain(nil, 10) }, 0},
+		{"Observe", func() { a.Observe(tr) }, 0},
+		{"Rank", func() { a.Rank(states[0]) }, 1},
+	} {
+		if n := testing.AllocsPerRun(20, op.f); n != op.want {
+			t.Errorf("%s: %v allocs/op, want %v", op.name, n, op.want)
 		}
 	}
 }

@@ -80,10 +80,6 @@ type Config struct {
 	BufferSize   int
 	SyncEvery    int // steps between target-network syncs
 	Hidden       int // width of the two hidden layers
-	// DoubleDQN selects the bootstrap action with the online network
-	// and evaluates it with the target network, reducing the maximization
-	// bias of vanilla DQN.
-	DoubleDQN bool
 }
 
 // DefaultConfig returns the production defaults.
@@ -224,23 +220,10 @@ func (a *Agent) trainStep() float64 {
 		target := tr.Reward
 		if !tr.Terminal {
 			nq := a.target.Forward(tr.NextState)
-			var boot float64
-			if a.cfg.DoubleDQN {
-				// Double DQN: online net picks, target net scores.
-				oq := a.q.Forward(tr.NextState)
-				argmax := 0
-				for i := 1; i < len(oq); i++ {
-					if oq[i] > oq[argmax] {
-						argmax = i
-					}
-				}
-				boot = nq[argmax]
-			} else {
-				boot = nq[0]
-				for _, v := range nq[1:] {
-					if v > boot {
-						boot = v
-					}
+			boot := nq[0]
+			for _, v := range nq[1:] {
+				if v > boot {
+					boot = v
 				}
 			}
 			target += a.cfg.Gamma * boot

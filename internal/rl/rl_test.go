@@ -241,29 +241,3 @@ func TestAgentDeterministicGivenSeed(t *testing.T) {
 		}
 	}
 }
-
-func TestDoubleDQNLearnsBandit(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c := DefaultConfig()
-	c.Epsilon = 0
-	c.DoubleDQN = true
-	c.LearningRate = 1e-2
-	a := NewAgent(rng, c)
-	state := make([]float64, StateDim)
-	state[0] = 0.5
-	var ts []ml.Transition
-	for i := 0; i < 300; i++ {
-		for k := 0; k < action.NumKinds; k++ {
-			r := -1.0
-			if action.Kind(k) == action.SuspendShorter {
-				r = 2.0
-			}
-			ts = append(ts, ml.Transition{State: state, Action: k, Reward: r,
-				NextState: state, Terminal: false}) // non-terminal: exercises the double-DQN bootstrap
-		}
-	}
-	a.Pretrain(ts, 3000)
-	if got := a.Rank(state)[0]; got != action.SuspendShorter {
-		t.Fatalf("double-DQN best action = %v (Q=%v)", got, a.Q(state))
-	}
-}
